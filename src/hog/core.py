@@ -87,6 +87,9 @@ class AtomOutcomes:
     def size(self) -> int:
         return len(self.labels)
 
+    def iter_outcomes(self) -> Iterator[str]:
+        return iter(self.labels)
+
     def all_outcomes(self) -> tuple[str, ...]:
         return self.labels
 
@@ -115,8 +118,11 @@ class ProductOutcomes:
     def size(self) -> int:
         return math.prod(len(m) for m in self.coords)
 
+    def iter_outcomes(self) -> Iterator[tuple]:
+        return cartesian(*(m.labels for m in self.coords))
+
     def all_outcomes(self) -> tuple[tuple, ...]:
-        return tuple(cartesian(*(m.labels for m in self.coords)))
+        return tuple(self.iter_outcomes())
 
     def rank(self, value) -> int:
         # lexicographic in declaration order, identical to all_outcomes()
@@ -161,22 +167,31 @@ class VectorOutcomes:
     def size(self) -> int:
         return len(self.levels) ** self.dim
 
+    def iter_outcomes(self) -> Iterator[tuple]:
+        return cartesian(self.levels, repeat=self.dim)
+
     def all_outcomes(self) -> tuple[tuple, ...]:
-        return tuple(cartesian(self.levels, repeat=self.dim))
+        return tuple(self.iter_outcomes())
+
+    @cached_property
+    def _level_index(self) -> dict:
+        # ints and Fractions hash alike when equal, so either finds its level
+        return {v: i for i, v in enumerate(self.levels)}
 
     def rank(self, value) -> int:
         base = len(self.levels)
-        idx = {v: i for i, v in enumerate(self.levels)}
+        idx = self._level_index
         r = 0
         for v in value:
-            r = r * base + idx[Fraction(v)]
+            r = r * base + idx[v]
         return r
 
     def __contains__(self, value):
+        idx = self._level_index
         return (
             isinstance(value, tuple)
             and len(value) == self.dim
-            and all(isinstance(v, (int, Fraction)) and Fraction(v) in self.levels for v in value)
+            and all(isinstance(v, (int, Fraction)) and v in idx for v in value)
         )
 
 
@@ -229,6 +244,19 @@ class GameContext:
         object.__setattr__(self, "table", t)
 
     @classmethod
+    def _trusted(cls, domain: MoveSet, codomain: OutcomeSpace, table: tuple) -> "GameContext":
+        """A context built without the checks of __post_init__.
+
+        Only for callers that know by construction that `table` is a tuple
+        aligned with `domain.labels` whose values all lie in `codomain`.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "domain", domain)
+        object.__setattr__(p, "codomain", codomain)
+        object.__setattr__(p, "table", table)
+        return p
+
+    @classmethod
     def from_mapping(cls, domain: MoveSet, codomain: OutcomeSpace, mapping) -> "GameContext":
         return cls(domain, codomain, dict(mapping))
 
@@ -259,8 +287,9 @@ def enumerate_contexts(
         raise BudgetExceededError(
             f"{total} contexts exceed the budget of {max_contexts}"
         )
+    # every value is drawn from the codomain, so nothing needs re-checking
     for values in cartesian(codomain.all_outcomes(), repeat=len(domain)):
-        yield GameContext(domain, codomain, values)
+        yield GameContext._trusted(domain, codomain, values)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +324,14 @@ class PreferenceOrder:
 
 
 class SelectionFunction:
-    """Base class: callable on a context, returns moves in domain order."""
+    """Base class: callable on a context, returns moves in domain order.
+
+    A selection function must be a pure function of its context: equal
+    contexts get equal answers, and a call has no effect that a later call
+    could see.  The equilibrium sweep relies on this to evaluate each goal
+    once per distinct context.  Every built-in one is a frozen dataclass
+    and qualifies.
+    """
 
     def __call__(self, p: GameContext) -> tuple:
         raise NotImplementedError
@@ -591,18 +627,21 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
     Raises the same errors evaluation would, but without needing a context,
     so ill-typed games are rejected at construction time.
     """
-    if isinstance(obj, ArgmaxOrder) or isinstance(obj, MaxOrder):
-        ranked = set(obj.order.ranking)
-        space = set(codomain.all_outcomes())
-        missing = space - ranked
+    if isinstance(obj, (ArgmaxOrder, MaxOrder)):
+        # the ranking is duplicate-free, so counting its in-space values
+        # tells whether it covers the space without enumerating the space
+        ranking = obj.order.ranking
+        extra = [v for v in ranking if v not in codomain]
+        missing = codomain.size() - (len(ranking) - len(extra))
         if missing:
+            ranked = set(ranking)
+            first = next(v for v in codomain.iter_outcomes() if v not in ranked)
             raise IncompleteOrderError(
-                f"order leaves {len(missing)} outcome(s) unranked, e.g. {sorted(missing, key=codomain.rank)[0]!r}"
+                f"order leaves {missing} outcome(s) unranked, e.g. {first!r}"
             )
-        extra = ranked - space
         if extra:
             raise TypeMismatchError(
-                f"order ranks values outside the outcome space, e.g. {next(iter(extra))!r}"
+                f"order ranks values outside the outcome space, e.g. {extra[0]!r}"
             )
     elif isinstance(obj, (ArgmaxCoord, MaxCoord)):
         if not isinstance(codomain, VectorOutcomes):

@@ -141,6 +141,10 @@ def _tokenize(text: str, diags: list) -> list[_Token]:
 
 _BRACKETS = {"{": "}", "(": ")"}
 
+#: Deepest nesting of selection constructors a player line may use; the
+#: parser, the shape check and evaluation all recurse once per level.
+MAX_SELECTION_DEPTH = 100
+
 
 def _split_statements(tokens: list[_Token], diags: list) -> list[list[_Token]]:
     """Group tokens into statements; newlines only count outside brackets."""
@@ -254,7 +258,13 @@ def _parse_label_braces(cur: _Cursor) -> Optional[list[_Token]]:
         return None
 
 
-def _parse_selexpr(cur: _Cursor) -> Optional[SelectionFunction]:
+def _parse_selexpr(cur: _Cursor, depth: int = 1) -> Optional[SelectionFunction]:
+    if depth > MAX_SELECTION_DEPTH:
+        cur.error(
+            f"selection expression nests deeper than {MAX_SELECTION_DEPTH} levels",
+            "too-deep",
+        )
+        return None
     tok = cur.take("IDENT")
     if tok is None:
         cur.error("expected a selection expression")
@@ -276,12 +286,12 @@ def _parse_selexpr(cur: _Cursor) -> Optional[SelectionFunction]:
     if name == "lex":
         if cur.expect("'('", "PUNCT", "(") is None:
             return None
-        first = _parse_selexpr(cur)
+        first = _parse_selexpr(cur, depth + 1)
         if first is None:
             return None
         if cur.expect("','", "PUNCT", ",") is None:
             return None
-        second = _parse_selexpr(cur)
+        second = _parse_selexpr(cur, depth + 1)
         if second is None:
             return None
         if cur.expect("')'", "PUNCT", ")") is None:

@@ -6,6 +6,13 @@ checking is by definition chasing: for each player build the unilateral
 context (what they could steer the outcome to, everyone else held fixed)
 and ask their selection function, or its lift, whether the profile stands.
 
+Profiles that differ only in player i's move form a deviation line, and
+every profile on it hands player i the same context.  The sweep therefore
+tabulates the outcome function once per profile, reads each line's context
+straight out of that table, runs the player's goal once per distinct
+context, and copies both verdicts to every profile on the line.  A single
+profile is judged by walking just the n lines through it.
+
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
 game theory on the games where both apply.
@@ -24,7 +31,6 @@ from .core import (
     ArgmaxCoord,
     AtomOutcomes,
     GameContext,
-    Lifted,
     MoveSet,
     OutcomeSpace,
     ProductOutcomes,
@@ -220,33 +226,6 @@ def unilateral_context(game: Game, profile, i: int) -> GameContext:
     return GameContext(moves, game.outcomes, values)
 
 
-def is_quantifier_equilibrium(game: Game, profile) -> tuple[bool, tuple[str, ...]]:
-    """Does each player's quantifier approve the realized outcome?
-
-    Returns the verdict together with the names of the players whose
-    standard the outcome fails (the would-be defectors).
-    """
-    s = game.check_profile(profile)
-    r = game.outcome_fn(s)
-    defectors = []
-    for i, p in enumerate(game.players, start=1):
-        u = unilateral_context(game, s, i)
-        if r not in Lifted(p.selection)(u):
-            defectors.append(p.name)
-    return (not defectors, tuple(defectors))
-
-
-def is_selection_equilibrium(game: Game, profile) -> tuple[bool, tuple[str, ...]]:
-    """Does each player's selection function pick their own move?"""
-    s = game.check_profile(profile)
-    defectors = []
-    for i, p in enumerate(game.players, start=1):
-        u = unilateral_context(game, s, i)
-        if s[i - 1] not in p.selection(u):
-            defectors.append(p.name)
-    return (not defectors, tuple(defectors))
-
-
 @dataclass(frozen=True)
 class ProfileResult:
     """Verdicts for one strategy profile under both equilibrium notions."""
@@ -280,23 +259,103 @@ class EquilibriumReport:
         raise InvalidProfileError(f"no row for profile {profile!r}")
 
 
+def _defections(selection: SelectionFunction, p: GameContext) -> tuple[bytes, bytes]:
+    """One player's verdicts along one deviation line, from one goal call.
+
+    Returns two flag strings aligned with the moves of `p`; byte j is 1 iff
+    a profile in which the player plays move j fails the player's goal:
+    first as a quantifier (its outcome is not one the lifted selection
+    approves), then as a selection (move j is not chosen).
+    """
+    chosen = selection(p)
+    good = {p(x) for x in chosen}
+    picked = set(chosen)
+    return (
+        bytes(v not in good for v in p.table),
+        bytes(x not in picked for x in p.domain.labels),
+    )
+
+
 def evaluate_profile(game: Game, profile) -> ProfileResult:
+    """Judge one profile by walking the n deviation lines through it.
+
+    Calls the outcome function once per move of each player, plus once
+    for the profile itself, and never tabulates the whole game.
+    """
     s = game.check_profile(profile)
-    q_ok, q_def = is_quantifier_equilibrium(game, s)
-    s_ok, s_def = is_selection_equilibrium(game, s)
-    return ProfileResult(s, game.outcome_fn(s), q_ok, q_def, s_ok, s_def)
+    q_def, s_def = [], []
+    for i, p in enumerate(game.players, start=1):
+        q, sel = _defections(p.selection, unilateral_context(game, s, i))
+        j = p.moves.index(s[i - 1])
+        if q[j]:
+            q_def.append(p.name)
+        if sel[j]:
+            s_def.append(p.name)
+    return ProfileResult(
+        s, game.outcome_fn(s), not q_def, tuple(q_def), not s_def, tuple(s_def)
+    )
+
+
+def is_quantifier_equilibrium(game: Game, profile) -> tuple[bool, tuple[str, ...]]:
+    """Does each player's quantifier approve the realized outcome?
+
+    Returns the verdict together with the names of the players whose
+    standard the outcome fails (the would-be defectors).
+    """
+    r = evaluate_profile(game, profile)
+    return r.quantifier_eq, r.quantifier_defectors
+
+
+def is_selection_equilibrium(game: Game, profile) -> tuple[bool, tuple[str, ...]]:
+    """Does each player's selection function pick their own move?"""
+    r = evaluate_profile(game, profile)
+    return r.selection_eq, r.selection_defectors
 
 
 def enumerate_equilibria(
     game: Game, max_profiles: int = DEFAULT_PROFILE_BUDGET
 ) -> EquilibriumReport:
-    """Judge every profile; profiles appear in lexicographic order."""
+    """Judge every profile; profiles appear in lexicographic order.
+
+    The outcome function is called once per profile.  Profile k sits at
+    index k of the flat outcome list, a mixed-radix number whose last digit
+    is the last player's move, so the deviation line of player i through a
+    profile is a slice with step equal to the product of the later players'
+    move counts.  Each player's goal runs once per distinct context; its
+    verdicts are written into every profile of each line that shows it.
+    """
     total = game.profile_count()
     if total > max_profiles:
         raise BudgetExceededError(
             f"{total} profiles exceed the budget of {max_profiles}"
         )
-    return EquilibriumReport(game, tuple(evaluate_profile(game, s) for s in game.profiles()))
+    fn = game.outcome_fn
+    outcomes = [fn(s) for s in game.profiles()]
+    q_flags, s_flags = [], []  # per player: 1 where that player defects
+    block = total
+    for p in game.players:
+        stride = block // len(p.moves)
+        q_flag, s_flag = bytearray(total), bytearray(total)
+        memo = {}
+        for start in range(0, total, block):
+            for base in range(start, start + stride):
+                line = slice(base, base + block, stride)
+                values = tuple(outcomes[line])
+                verdict = memo.get(values)
+                if verdict is None:
+                    ctx = GameContext._trusted(p.moves, game.outcomes, values)
+                    verdict = memo[values] = _defections(p.selection, ctx)
+                q_flag[line], s_flag[line] = verdict
+        q_flags.append(q_flag)
+        s_flags.append(s_flag)
+        block = stride
+    names = [p.name for p in game.players]
+    rows = []
+    for k, (s, r) in enumerate(zip(game.profiles(), outcomes)):
+        q_def = tuple(nm for nm, f in zip(names, q_flags) if f[k])
+        s_def = tuple(nm for nm, f in zip(names, s_flags) if f[k])
+        rows.append(ProfileResult(s, r, not q_def, q_def, not s_def, s_def))
+    return EquilibriumReport(game, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,16 @@ def argmax_order_sel(ranking):
     return sel
 
 
+def argmax_coord_sel(i):
+    """Moves maximising coordinate ``i`` (1-based) of a payoff vector."""
+
+    def sel(p):
+        top = max(v[i - 1] for v in p.values())
+        return {x for x in p if p[x][i - 1] == top}
+
+    return sel
+
+
 def coord_sel(p):
     good = {x for x in p if p[x][0] == p[x][1]}
     return good or set(p)

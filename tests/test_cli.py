@@ -230,6 +230,24 @@ def test_parse_errors_reach_stderr_with_positions(tmp_path, capsys):
     assert f"{path}:2:17: error: duplicate move label 'A'" in err
 
 
+def test_overly_nested_goal_is_a_located_parse_error(tmp_path, capsys):
+    goal = "fix"
+    for _ in range(1999):
+        goal = f"lex({goal}, fix)"
+    path = tmp_path / "deep.hog"
+    path.write_text(
+        "game deep\n"
+        "moves P1 = { A, B }\n"
+        "outcomes = { A, B }\n"
+        "outcome_fn = majority\n"
+        f"player P1 = {goal}\n"
+    )
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}:5:413: error: selection expression nests deeper than" in err
+    assert "internal error" not in err
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/nowhere.hog")
     assert code == 2 and err != ""

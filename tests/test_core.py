@@ -1,9 +1,14 @@
 """Pointwise semantics of contexts, selection functions, and quantifiers."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hog
 from hog import (
     ArgmaxCoord,
     ArgmaxOrder,
@@ -438,6 +443,43 @@ def test_check_shape_rejects_incompatible_pairs():
         check_shape(ArgmaxOrder(PreferenceOrder(("A", "B", "C"))), AB, ATOMS_AB)
     with pytest.raises(TypeMismatchError):
         check_shape(Lex(Fix(), Coord()), AB, ATOMS_AB)
+
+
+def test_check_shape_finds_an_unranked_vector_without_listing_the_space(monkeypatch):
+    def listed(self):
+        raise AssertionError("the outcome space was materialised")
+
+    monkeypatch.setattr(VectorOutcomes, "all_outcomes", listed)
+    space = VectorOutcomes(4, range(40))
+    order = PreferenceOrder(((0, 0, 0, 0), (1, 1, 1, 1)))
+    first_unranked = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+    with pytest.raises(IncompleteOrderError) as err:
+        check_shape(ArgmaxOrder(order), AB, space)
+    assert str(err.value) == (
+        f"order leaves {40**4 - 2} outcome(s) unranked, e.g. {first_unranked!r}"
+    )
+    with pytest.raises(IncompleteOrderError):
+        check_shape(MaxOrder(order), AB, space)
+
+
+def test_check_shape_names_the_first_extra_value_whatever_the_hash_seed():
+    # set iteration order of strings changes with the hash seed, so the
+    # example must come from the ranking itself
+    code = (
+        "from hog import *\n"
+        "order = PreferenceOrder(('A', 'R', 'B', 'Q', 'T'))\n"
+        "try:\n"
+        "    check_shape(ArgmaxOrder(order), MoveSet(('A', 'B')), AtomOutcomes(('A', 'B')))\n"
+        "except TypeMismatchError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(hog.__file__).resolve().parent.parent)
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.stdout == "order ranks values outside the outcome space, e.g. 'R'\n"
 
 
 def test_preference_order_invariants():

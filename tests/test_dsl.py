@@ -24,6 +24,7 @@ from hog import (
     render_game,
     tabulate,
 )
+from hog.dsl import MAX_SELECTION_DEPTH
 
 KEYNES_TEXT = """\
 # three voters, the first wants A to win, the others vote with the crowd
@@ -175,6 +176,25 @@ def test_unknown_selection_constructor():
     )
     result = parse_game(text)
     assert any(d.code == "unknown-constructor" for d in result.errors())
+
+
+def test_selection_nesting_is_bounded():
+    def text(depth):
+        goal = "fix"
+        for _ in range(depth - 1):
+            goal = f"lex({goal}, fix)"
+        return (
+            "game g\nmoves P1 = { A, B }\noutcomes = { A, B }\n"
+            f"outcome_fn = majority\nplayer P1 = {goal}\n"
+        )
+
+    deepest = parse_game(text(MAX_SELECTION_DEPTH))
+    assert deepest.ok and not deepest.diagnostics
+    assert enumerate_equilibria(deepest.game).selection_equilibria() == (("A",), ("B",))
+    too_deep = parse_game(text(MAX_SELECTION_DEPTH + 1))
+    assert not too_deep.ok
+    deep = [(d.line, d.column) for d in too_deep.errors() if d.code == "too-deep"]
+    assert deep == [(5, 13 + 4 * MAX_SELECTION_DEPTH)]
 
 
 def test_diagnostics_come_out_sorted_and_parsing_recovers():

@@ -1,8 +1,11 @@
 """Games, unilateral contexts, equilibrium sweeps, and the classical bridge."""
 
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hog import (
     ArgmaxCoord,
@@ -13,15 +16,23 @@ from hog import (
     Fix,
     FixProj,
     Game,
+    GameContext,
     IncompleteOrderError,
     InvalidProfileError,
+    Lex,
     MoveSet,
+    NonFix,
+    NonFixProj,
+    OutcomeFunction,
     PayoffMatrix,
     Player,
     PlayerOutOfRangeError,
     PreferenceOrder,
+    ProfileResult,
     ProductOutcomes,
+    SelectionFunction,
     TargetCoord,
+    VectorOutcomes,
     brute_force_nash,
     builtin,
     builtin_names,
@@ -38,6 +49,7 @@ from hog import (
     unilateral_context,
 )
 from oracles import (
+    argmax_coord_sel,
     argmax_order_sel,
     brute_equilibria,
     brute_nash,
@@ -214,6 +226,196 @@ def test_profile_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         enumerate_equilibria(KEYNES, max_profiles=7)
     assert len(enumerate_equilibria(KEYNES, max_profiles=8).rows) == 8
+
+
+# ---------------------------------------------------------------------------
+# the line-sweep kernel against the oracle
+# ---------------------------------------------------------------------------
+# Goals are drawn as plain specs and built twice: once from hog's
+# constructors, once from the oracle's closures over dicts.
+
+
+def _hog_goal(spec):
+    kind, *args = spec
+    if kind == "lex":
+        return Lex(_hog_goal(args[0]), _hog_goal(args[1]))
+    if kind == "order":
+        return ArgmaxOrder(PreferenceOrder(args[0]))
+    ctor = {"fix": Fix, "nonfix": NonFix, "fixproj": FixProj,
+            "nonfixproj": NonFixProj, "coord": Coord, "target": TargetCoord}
+    return ctor[kind](*args)
+
+
+def _oracle_goal(spec):
+    kind, *args = spec
+    if kind == "lex":
+        return lex_sel(_oracle_goal(args[0]), _oracle_goal(args[1]))
+    if kind == "order":
+        return argmax_order_sel(args[0])
+    ctor = {"fix": lambda: fix_sel, "nonfix": lambda: nonfix_sel,
+            "fixproj": fixproj_sel, "nonfixproj": nonfixproj_sel,
+            "coord": lambda: coord_sel, "target": target_sel}
+    return ctor[kind](*args)
+
+
+def _goals(leaves, secondaries=None):
+    leaves = st.sampled_from(leaves)
+    extra = st.sampled_from(secondaries) if secondaries else st.nothing()
+    return st.recursive(
+        leaves,
+        lambda inner: st.tuples(st.just("lex"), inner, inner | extra),
+        max_leaves=3,
+    )
+
+
+def _profiles(move_sets):
+    return list(product(*(m.labels for m in move_sets)))
+
+
+def _game_of(move_sets, outcomes, fn, oracle_fn, specs):
+    players = tuple(
+        Player(f"P{i}", m, _hog_goal(g))
+        for i, (m, g) in enumerate(zip(move_sets, specs), start=1)
+    )
+    game = Game("random", players, outcomes, fn)
+    return game, oracle_fn, [_oracle_goal(g) for g in specs]
+
+
+@st.composite
+def _majority_games(draw):
+    labels = draw(st.sampled_from([("A", "B"), ("A", "B", "C")]))
+    n = draw(st.integers(1, 5))
+    move_sets = [MoveSet(draw(st.permutations(labels))) for _ in range(n)]
+    leaves = [("fix",), ("nonfix",)] + [("order", o) for o in permutations(labels)]
+    specs = [draw(_goals(leaves)) for _ in range(n)]
+    return _game_of(
+        move_sets, AtomOutcomes(labels), majority_rule(),
+        lambda s: max(sorted(set(s)), key=s.count), specs,
+    )
+
+
+@st.composite
+def _identity_games(draw):
+    n = draw(st.integers(2, 3))
+    move_sets = [MoveSet(("E", "G", "H")[: draw(st.integers(1, 3))]) for _ in range(n)]
+    leaves = [(k, j) for k in ("fixproj", "nonfixproj") for j in range(1, n + 1)]
+    if n == 2:
+        leaves.append(("coord",))
+    targets = [("target", j, x) for j, m in enumerate(move_sets, start=1) for x in m]
+    specs = [draw(_goals(leaves, targets)) for _ in range(n)]
+    return _game_of(
+        move_sets, ProductOutcomes(move_sets), identity_rule(), lambda s: s, specs
+    )
+
+
+@st.composite
+def _table_games(draw):
+    labels = draw(st.sampled_from([("A",), ("A", "B"), ("A", "B", "C")]))
+    n = draw(st.integers(1, 3))
+    move_sets = [MoveSet(draw(st.permutations(labels))) for _ in range(n)]
+    table = {s: draw(st.sampled_from(labels)) for s in _profiles(move_sets)}
+    leaves = [("fix",), ("nonfix",)] + [("order", o) for o in permutations(labels)]
+    specs = [draw(_goals(leaves)) for _ in range(n)]
+    return _game_of(
+        move_sets, AtomOutcomes(labels), outcome_table(table), table.get, specs
+    )
+
+
+@st.composite
+def _payoff_games(draw):
+    n = draw(st.integers(1, 3))
+    move_sets = [MoveSet(("a", "b", "c")[: draw(st.integers(1, 3))]) for _ in range(n)]
+    pay = st.tuples(*[st.integers(-2, 2)] * n)
+    entries = {s: draw(pay) for s in _profiles(move_sets)}
+    matrix = PayoffMatrix("random", [f"P{i}" for i in range(1, n + 1)], move_sets, entries)
+    return (
+        classical_game(matrix),
+        matrix.payoff,
+        [argmax_coord_sel(i) for i in range(1, n + 1)],
+    )
+
+
+@settings(deadline=None)
+@given(case=st.one_of(_majority_games(), _identity_games(), _table_games(), _payoff_games()))
+def test_kernel_agrees_with_the_oracle_row_for_row(case):
+    game, oracle_fn, oracle_sels = case
+    expected = brute_equilibria(
+        [list(p.moves) for p in game.players], oracle_fn, oracle_sels
+    )
+    report = enumerate_equilibria(game)
+    assert [r.profile for r in report.rows] == list(expected)
+    names = [p.name for p in game.players]
+    for row in report.rows:
+        outcome, q_eq, q_def, s_eq, s_def = expected[row.profile]
+        assert row == ProfileResult(
+            row.profile,
+            outcome,
+            q_eq,
+            tuple(names[i] for i in q_def),
+            s_eq,
+            tuple(names[i] for i in s_def),
+        )
+        assert evaluate_profile(game, row.profile) == row
+
+
+@dataclass(frozen=True)
+class _Counted(SelectionFunction):
+    """Wraps a goal and records every context it is asked about."""
+
+    inner: SelectionFunction
+    seen: list = field(default_factory=list, compare=False)
+
+    def __call__(self, p):
+        self.seen.append(p)
+        return self.inner(p)
+
+
+def _counted_vote(n):
+    goals = [ArgmaxOrder(PreferenceOrder(("A", "B")))] + [Fix()] * (n - 1)
+    players = tuple(Player(f"V{i}", AB, _Counted(g)) for i, g in enumerate(goals, 1))
+    return Game(f"vote{n}", players, AtomOutcomes(("A", "B")), majority_rule())
+
+
+@pytest.fixture
+def outcome_calls(monkeypatch):
+    calls = []
+    call = OutcomeFunction.__call__
+
+    def counting(self, profile):
+        calls.append(profile)
+        return call(self, profile)
+
+    monkeypatch.setattr(OutcomeFunction, "__call__", counting)
+    return calls
+
+
+def test_sweep_tabulates_once_and_runs_each_goal_once_per_context(outcome_calls):
+    game = _counted_vote(13)
+    report = enumerate_equilibria(game)
+    assert len(report.rows) == 2**13
+    assert len(outcome_calls) == 2**13
+    for p in game.players:
+        # the others' votes leave the voter three contexts: A wins, B wins,
+        # or the voter decides
+        assert len(p.selection.seen) <= 3
+        assert len(set(p.selection.seen)) == len(p.selection.seen)
+
+
+def test_single_profile_walks_only_its_own_lines(outcome_calls):
+    game = _counted_vote(25)
+    row = evaluate_profile(game, ("A",) * 25)
+    assert row.selection_eq and row.quantifier_eq
+    assert len(outcome_calls) <= 2 * 25 + 1
+    with pytest.raises(BudgetExceededError):
+        enumerate_equilibria(game)
+    assert len(outcome_calls) <= 2 * 25 + 1
+
+
+def test_hand_built_contexts_are_still_validated():
+    with pytest.raises(ValueError, match="outside the outcome space"):
+        GameContext(AB, AtomOutcomes(("A", "B")), ("A", "C"))
+    with pytest.raises(ValueError, match="outside the outcome space"):
+        GameContext(AB, VectorOutcomes(1, (0, 1)), ((0,), (2,)))
 
 
 # ---------------------------------------------------------------------------
