@@ -202,9 +202,7 @@ def projection(space: OutcomeSpace, value, i: int):
     """The i-th coordinate (1-based) of an outcome in a structured space."""
     if isinstance(space, AtomOutcomes):
         raise TypeMismatchError("atom outcomes have no coordinates to project")
-    n = space.arity
-    if not 1 <= i <= n:
-        raise CoordinateOutOfRangeError(f"coordinate {i} out of range 1..{n}")
+    _check_index(i, space.arity)
     return value[i - 1]
 
 
@@ -353,22 +351,41 @@ def _with_fallback(p: GameContext, chosen: tuple) -> tuple:
     return chosen if chosen else tuple(p.domain)
 
 
-def _check_atoms_match(p: GameContext):
-    if not isinstance(p.codomain, AtomOutcomes) or set(p.codomain.labels) != set(
-        p.domain.labels
+# Shape rules, one function each: `check_shape` calls them up front and the
+# goals call them again on every context they are handed.
+
+
+def _check_index(i: int, n: int):
+    if not 1 <= i <= n:
+        raise CoordinateOutOfRangeError(f"coordinate {i} out of range 1..{n}")
+
+
+def _check_atoms_match(domain: MoveSet, codomain: OutcomeSpace):
+    if not isinstance(codomain, AtomOutcomes) or set(codomain.labels) != set(
+        domain.labels
     ):
         raise TypeMismatchError(
             "fixpoint selection needs atom outcomes matching the moves exactly"
         )
 
 
-def _check_product(p: GameContext, i: int):
-    if not isinstance(p.codomain, ProductOutcomes):
+def _check_product(codomain: OutcomeSpace, i: int):
+    if not isinstance(codomain, ProductOutcomes):
         raise TypeMismatchError("coordinate selection needs a product outcome space")
-    if not 1 <= i <= p.codomain.arity:
-        raise CoordinateOutOfRangeError(
-            f"coordinate {i} out of range 1..{p.codomain.arity}"
-        )
+    _check_index(i, codomain.arity)
+
+
+def _check_vector_coord(codomain: OutcomeSpace, i: int):
+    if not isinstance(codomain, VectorOutcomes):
+        raise TypeMismatchError("argmax over a coordinate needs vector outcomes")
+    _check_index(i, codomain.dim)
+
+
+def _check_coord(codomain: OutcomeSpace):
+    if not isinstance(codomain, ProductOutcomes):
+        raise TypeMismatchError("coordination needs a product outcome space")
+    if codomain.arity < 2:
+        raise TypeMismatchError("coordination needs at least two coordinates")
 
 
 @dataclass(frozen=True)
@@ -390,12 +407,7 @@ class ArgmaxCoord(SelectionFunction):
     coord: int
 
     def __call__(self, p: GameContext) -> tuple:
-        if not isinstance(p.codomain, VectorOutcomes):
-            raise TypeMismatchError("argmax over a coordinate needs vector outcomes")
-        if not 1 <= self.coord <= p.codomain.dim:
-            raise CoordinateOutOfRangeError(
-                f"coordinate {self.coord} out of range 1..{p.codomain.dim}"
-            )
+        _check_vector_coord(p.codomain, self.coord)
         vals = {x: p(x)[self.coord - 1] for x in p.domain}
         best = max(vals.values())
         return _moves_where(p, lambda x: vals[x] == best)
@@ -406,7 +418,7 @@ class Fix(SelectionFunction):
     """Moves the context maps to themselves; every move if none do."""
 
     def __call__(self, p: GameContext) -> tuple:
-        _check_atoms_match(p)
+        _check_atoms_match(p.domain, p.codomain)
         return _with_fallback(p, _moves_where(p, lambda x: p(x) == x))
 
 
@@ -415,7 +427,7 @@ class NonFix(SelectionFunction):
     """Moves the context does not map to themselves; every move if all do."""
 
     def __call__(self, p: GameContext) -> tuple:
-        _check_atoms_match(p)
+        _check_atoms_match(p.domain, p.codomain)
         return _with_fallback(p, _moves_where(p, lambda x: p(x) != x))
 
 
@@ -426,7 +438,7 @@ class FixProj(SelectionFunction):
     coord: int
 
     def __call__(self, p: GameContext) -> tuple:
-        _check_product(p, self.coord)
+        _check_product(p.codomain, self.coord)
         i = self.coord - 1
         return _with_fallback(p, _moves_where(p, lambda x: p(x)[i] == x))
 
@@ -438,7 +450,7 @@ class NonFixProj(SelectionFunction):
     coord: int
 
     def __call__(self, p: GameContext) -> tuple:
-        _check_product(p, self.coord)
+        _check_product(p.codomain, self.coord)
         i = self.coord - 1
         return _with_fallback(p, _moves_where(p, lambda x: p(x)[i] != x))
 
@@ -448,10 +460,7 @@ class Coord(SelectionFunction):
     """Moves under which all coordinates of the outcome agree."""
 
     def __call__(self, p: GameContext) -> tuple:
-        if not isinstance(p.codomain, ProductOutcomes):
-            raise TypeMismatchError("coordination needs a product outcome space")
-        if p.codomain.arity < 2:
-            raise TypeMismatchError("coordination needs at least two coordinates")
+        _check_coord(p.codomain)
         return _with_fallback(
             p, _moves_where(p, lambda x: len(set(p(x))) == 1)
         )
@@ -470,7 +479,7 @@ class TargetCoord(SelectionFunction):
     value: str
 
     def __call__(self, p: GameContext) -> tuple:
-        _check_product(p, self.coord)
+        _check_product(p.codomain, self.coord)
         i = self.coord - 1
         return _moves_where(p, lambda x: p(x)[i] == self.value)
 
@@ -563,12 +572,7 @@ class MaxCoord(Quantifier):
     coord: int
 
     def __call__(self, p: GameContext) -> tuple:
-        if not isinstance(p.codomain, VectorOutcomes):
-            raise TypeMismatchError("max over a coordinate needs vector outcomes")
-        if not 1 <= self.coord <= p.codomain.dim:
-            raise CoordinateOutOfRangeError(
-                f"coordinate {self.coord} out of range 1..{p.codomain.dim}"
-            )
+        _check_vector_coord(p.codomain, self.coord)
         img = p.image()
         i = self.coord - 1
         best = max(v[i] for v in img)
@@ -584,7 +588,7 @@ class FixQuantifier(Quantifier):
     """
 
     def __call__(self, p: GameContext) -> tuple:
-        _check_atoms_match(p)
+        _check_atoms_match(p.domain, p.codomain)
         fixed = [p(x) for x in p.domain if p(x) == x]
         if fixed:
             return _ordered_values(p.codomain, fixed)
@@ -644,31 +648,13 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
                 f"order ranks values outside the outcome space, e.g. {extra[0]!r}"
             )
     elif isinstance(obj, (ArgmaxCoord, MaxCoord)):
-        if not isinstance(codomain, VectorOutcomes):
-            raise TypeMismatchError("argmax over a coordinate needs vector outcomes")
-        if not 1 <= obj.coord <= codomain.dim:
-            raise CoordinateOutOfRangeError(
-                f"coordinate {obj.coord} out of range 1..{codomain.dim}"
-            )
+        _check_vector_coord(codomain, obj.coord)
     elif isinstance(obj, (Fix, NonFix, FixQuantifier)):
-        if not isinstance(codomain, AtomOutcomes) or set(codomain.labels) != set(
-            domain.labels
-        ):
-            raise TypeMismatchError(
-                "fixpoint selection needs atom outcomes matching the moves exactly"
-            )
+        _check_atoms_match(domain, codomain)
     elif isinstance(obj, (FixProj, NonFixProj, TargetCoord)):
-        if not isinstance(codomain, ProductOutcomes):
-            raise TypeMismatchError("coordinate selection needs a product outcome space")
-        if not 1 <= obj.coord <= codomain.arity:
-            raise CoordinateOutOfRangeError(
-                f"coordinate {obj.coord} out of range 1..{codomain.arity}"
-            )
+        _check_product(codomain, obj.coord)
     elif isinstance(obj, Coord):
-        if not isinstance(codomain, ProductOutcomes):
-            raise TypeMismatchError("coordination needs a product outcome space")
-        if codomain.arity < 2:
-            raise TypeMismatchError("coordination needs at least two coordinates")
+        _check_coord(codomain)
     elif isinstance(obj, Lex):
         check_shape(obj.primary, domain, codomain)
         check_shape(obj.secondary, domain, codomain)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as cartesian
 from pathlib import Path
 from typing import Optional
 
@@ -33,12 +32,11 @@ from .core import (
     SelectionFunction,
     TargetCoord,
     VectorOutcomes,
-    check_shape,
-    may_be_empty,
 )
 from .engine import (
     Game,
     Player,
+    game_problems,
     identity_rule,
     majority_rule,
     outcome_table,
@@ -436,7 +434,7 @@ def _parse_table_value(cur: _Cursor):
 def _parse_table_entries(cur: _Cursor):
     """Entries of `table { ... }`; returns (entries, close_token) or None.
 
-    Each entry is ((labels), value, line, column).  On a bad entry we skip
+    Each entry is ((labels), value, its '(' token).  On a bad entry we skip
     to the next ';' so later entries still get checked.
     """
     if cur.expect("'{'", "PUNCT", "{") is None:
@@ -494,7 +492,7 @@ def _parse_table_entry(cur: _Cursor):
     value = _parse_table_value(cur)
     if value is None:
         return None
-    return (tuple(profile), value, head.line, head.column)
+    return (tuple(profile), value, head)
 
 
 def _parse_statement(tokens: list[_Token], diags: list):
@@ -510,7 +508,7 @@ def _parse_statement(tokens: list[_Token], diags: list):
             )
         )
         return None
-    stmt = None
+    stmt = declared = None
     if head.text == "game":
         name = cur.expect("a game name", "IDENT")
         if name is not None:
@@ -561,10 +559,14 @@ def _parse_statement(tokens: list[_Token], diags: list):
                 )
     elif head.text == "player":
         name = cur.expect("a player name", "IDENT")
-        if name is not None and cur.expect("'='", "PUNCT", "=") is not None:
-            sel = _parse_selexpr(cur)
-            if sel is not None:
-                stmt = ("player", name.text, sel, head)
+        if name is not None:
+            # a named player line declares the player even when the rest of
+            # it is broken; its own error says what is wrong
+            declared = ("player", name.text, None, head)
+            if cur.expect("'='", "PUNCT", "=") is not None:
+                sel = _parse_selexpr(cur)
+                if sel is not None:
+                    stmt = ("player", name.text, sel, head)
     else:
         cur.diags.append(
             ParseDiagnostic(
@@ -585,8 +587,8 @@ def _parse_statement(tokens: list[_Token], diags: list):
                 tok.column,
             )
         )
-        return None
-    return stmt
+        return declared
+    return stmt or declared
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +596,7 @@ def _parse_statement(tokens: list[_Token], diags: list):
 # ---------------------------------------------------------------------------
 
 
-def _err(diags, tok, message, code="syntax"):
+def _err(diags, tok, message, code):
     diags.append(ParseDiagnostic("error", message, tok.line, tok.column, code))
 
 
@@ -619,12 +621,11 @@ def parse_game(src) -> ParseResult:
     ]
 
     game_name = None
-    game_tok = None
     moves_order: list[str] = []
     moves_by_name: dict[str, tuple[MoveSet, _Token]] = {}
     outcomes_decl = None
     fn_decl = None
-    players: dict[str, tuple[SelectionFunction, _Token]] = {}
+    players: dict[str, tuple[Optional[SelectionFunction], _Token]] = {}
 
     for stmt in statements:
         tag = stmt[0]
@@ -633,7 +634,7 @@ def parse_game(src) -> ParseResult:
             if game_name is not None:
                 _err(diags, tok, "game name declared twice", "duplicate")
             else:
-                game_name, game_tok = name, tok
+                game_name = name
         elif tag == "moves":
             _, name, label_toks, tok = stmt
             if name in moves_by_name:
@@ -667,11 +668,12 @@ def parse_game(src) -> ParseResult:
             _, name, sel, tok = stmt
             if name in players:
                 _err(diags, tok, f"player {name} declared twice", "duplicate")
-            elif name not in moves_by_name:
+            elif name not in moves_by_name and sel is not None:
                 _err(
                     diags,
                     tok,
                     f"moves for {name} must be declared before its player line",
+                    "missing",
                 )
             else:
                 players[name] = (sel, tok)
@@ -682,19 +684,20 @@ def parse_game(src) -> ParseResult:
 
     top = _Token("IDENT", "", 1, 1)
     if game_name is None:
-        _err(diags, top, "missing game declaration")
+        _err(diags, top, "missing game declaration", "missing")
     if not moves_order:
-        _err(diags, top, "no moves declared")
+        _err(diags, top, "no moves declared", "missing")
     if outcomes_decl is None:
-        _err(diags, top, "missing outcomes declaration")
+        _err(diags, top, "missing outcomes declaration", "missing")
     if fn_decl is None:
-        _err(diags, top, "missing outcome_fn declaration")
+        _err(diags, top, "missing outcome_fn declaration", "missing")
     for name in moves_order:
         if name not in players:
             _err(
                 diags,
                 moves_by_name[name][1],
                 f"no player declaration for {name}",
+                "missing",
             )
     if any(d.severity == "error" for d in diags):
         return finish()
@@ -728,17 +731,14 @@ def parse_game(src) -> ParseResult:
             )
         else:
             levels = set()
-            for profile, value, line, col in raw_entries:
+            for profile, value, head in raw_entries:
                 if value[0] != "numbers" or len(value[1]) != dim:
-                    diags.append(
-                        ParseDiagnostic(
-                            "error",
-                            f"expected a payoff vector of {dim} rationals for "
-                            f"({', '.join(profile)})",
-                            line,
-                            col,
-                            "type-mismatch",
-                        )
+                    _err(
+                        diags,
+                        head,
+                        f"expected a payoff vector of {dim} rationals for "
+                        f"({', '.join(profile)})",
+                        "type-mismatch",
                     )
                 else:
                     levels.update(value[1])
@@ -747,104 +747,26 @@ def parse_game(src) -> ParseResult:
     if outcomes is None:
         return finish()
 
-    # build and validate the outcome function
-    fn = None
+    # Game is the validator; its problems are only located here
     if kind == "majority":
-        if not isinstance(outcomes, AtomOutcomes):
-            _err(diags, fn_tok, "majority rule needs atom outcomes", "type-mismatch")
-        elif len(moves_order) % 2 == 0:
-            _err(diags, fn_tok, "majority rule needs an odd number of players")
-        elif any(ms.labels != move_sets[0].labels for ms in move_sets):
-            _err(diags, fn_tok, "majority rule needs every player to share one move set")
-        elif len(move_sets[0]) != 2:
-            _err(diags, fn_tok, "majority rule needs exactly two moves per player")
-        elif any(label not in outcomes for label in move_sets[0]):
-            _err(
-                diags,
-                fn_tok,
-                "majority winners would fall outside the outcome space",
-                "type-mismatch",
-            )
-        else:
-            fn = majority_rule()
+        fn = majority_rule()
     elif kind == "identity":
-        if shape[0] != "moves":
-            _err(
-                diags,
-                fn_tok,
-                "identity outcome function needs `outcomes = moves`",
-                "type-mismatch",
-            )
-        else:
-            fn = identity_rule()
+        fn = identity_rule()
     else:
-        entries = []
-        listed = set()
-        for profile, value, line, col in raw_entries:
-            loc = _Token("IDENT", "", line, col)
-            if len(profile) != len(move_sets) or any(
-                x not in ms for x, ms in zip(profile, move_sets)
-            ):
-                _err(
-                    diags,
-                    loc,
-                    f"profile ({', '.join(profile)}) does not match the move sets",
-                    "type-mismatch",
-                )
-                continue
-            if profile in listed:
-                _err(
-                    diags,
-                    loc,
-                    f"profile ({', '.join(profile)}) listed twice",
-                    "duplicate",
-                )
-                continue
-            listed.add(profile)
-            v = value[1]
-            if v not in outcomes:
-                _err(
-                    diags,
-                    loc,
-                    f"outcome for ({', '.join(profile)}) lies outside the outcome space",
-                    "type-mismatch",
-                )
-                continue
-            entries.append((profile, v))
-        missing = [
-            s for s in cartesian(*(ms.labels for ms in move_sets)) if s not in listed
-        ]
-        if missing:
-            _err(
-                diags,
-                close_tok,
-                f"outcome table misses {len(missing)} profile(s), "
-                f"e.g. ({', '.join(missing[0])})",
-                "arity",
-            )
-        if not any(d.severity == "error" for d in diags):
-            fn = outcome_table(tuple(entries))
-    if fn is None:
-        return finish()
-
-    # per-player goal checks, attributed to the player lines
-    for name in moves_order:
-        sel, tok = players[name]
-        ms = moves_by_name[name][0]
-        if may_be_empty(sel):
-            _err(
-                diags,
-                tok,
-                f"player {name}: this goal can reject every move; "
-                "give it a fallback inside lex(...)",
-                "type-mismatch",
-            )
-            continue
-        try:
-            check_shape(sel, ms, outcomes)
-        except HogError as e:
-            _err(diags, tok, f"player {name}: {e}", "type-mismatch")
-    if any(d.severity == "error" for d in diags):
+        fn = outcome_table(tuple((profile, value[1]) for profile, value, _ in raw_entries))
+    game_players = tuple(
+        Player(n, moves_by_name[n][0], players[n][0]) for n in moves_order
+    )
+    try:
+        game = Game(game_name, game_players, outcomes, fn)
+    except (HogError, ValueError):
+        anchors = {("game", None): fn_tok, ("table", None): close_tok}
+        for i, n in enumerate(moves_order):
+            anchors["player", i] = players[n][1]
+        for k, (_, _, head) in enumerate(raw_entries or ()):
+            anchors["entry", k] = head
+        for problem in game_problems(game_players, outcomes, fn):
+            _err(diags, anchors[problem.where], problem.message, problem.code)
         return finish()
 
     if isinstance(outcomes, AtomOutcomes):
@@ -860,15 +782,6 @@ def parse_game(src) -> ParseResult:
                 "outcome value(s) never produced by the outcome function: "
                 + ", ".join(unreachable),
             )
-
-    game_players = tuple(
-        Player(n, moves_by_name[n][0], players[n][0]) for n in moves_order
-    )
-    try:
-        game = Game(game_name, game_players, outcomes, fn)
-    except (HogError, ValueError) as e:  # belt and braces; checks above should cover
-        _err(diags, game_tok, f"invalid game: {e}")
-        return finish()
     return finish(game)
 
 

@@ -41,6 +41,7 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
+    HogError,
     InvalidProfileError,
     PlayerOutOfRangeError,
 )
@@ -109,13 +110,120 @@ def outcome_table(entries) -> OutcomeFunction:
 
 
 @dataclass(frozen=True)
+class GameProblem:
+    """One reason a game is ill formed.
+
+    `where` locates it: ``("player", i)`` for the i-th player (0-based),
+    ``("entry", k)`` for the k-th outcome table entry as given,
+    ``("table", None)`` for the table as a whole (a profile is missing), or
+    ``("game", None)`` for the game as a whole.  `code` is the diagnostic
+    code the text format reports it under; `error` the exception type
+    `Game` raises for it.
+    """
+
+    message: str
+    error: type
+    code: str
+    where: tuple
+
+
+def _fmt_profile(profile) -> str:
+    return "(%s)" % ", ".join(map(str, profile))
+
+
+def game_problems(
+    players: tuple[Player, ...], outcomes: OutcomeSpace, fn: OutcomeFunction
+) -> Iterator[GameProblem]:
+    """Every reason the parts do not make a game, in a fixed order.
+
+    Players come first, each goal checked for emptiness and then for shape;
+    then the outcome function.  Table entries are checked in the order
+    given: shape, then duplicates, then the value.
+    """
+    game = ("game", None)
+    if not players:
+        yield GameProblem("a game needs at least one player", ValueError, "missing", game)
+        return
+    names = [p.name for p in players]
+    if len(set(names)) != len(names):
+        yield GameProblem(
+            f"duplicate player names in {names!r}", ValueError, "duplicate", game
+        )
+    for i, p in enumerate(players):
+        if may_be_empty(p.selection):
+            yield GameProblem(
+                f"player {p.name}: this goal can reject every move; "
+                "give it a fallback inside lex(...)",
+                ValueError, "type-mismatch", ("player", i),
+            )
+            continue
+        try:
+            check_shape(p.selection, p.moves, outcomes)
+        except HogError as e:
+            yield GameProblem(f"player {p.name}: {e}", type(e), "type-mismatch", ("player", i))
+
+    move_sets = tuple(p.moves for p in players)
+    if fn.kind == "identity":
+        if outcomes != ProductOutcomes(move_sets):
+            yield GameProblem(
+                "identity outcome function needs `outcomes = moves`",
+                ValueError, "type-mismatch", game,
+            )
+    elif fn.kind == "majority":
+        # any crowd over one shared set of moves; ties go to the label that
+        # sorts first, so every shared move can win
+        message = None
+        if not isinstance(outcomes, AtomOutcomes):
+            message = "majority rule needs atom outcomes"
+        elif any(set(ms) != set(move_sets[0]) for ms in move_sets):
+            message = "majority rule needs every player to share one move set"
+        elif any(label not in outcomes for label in move_sets[0]):
+            message = "majority winners would fall outside the outcome space"
+        if message:
+            yield GameProblem(message, ValueError, "type-mismatch", game)
+    else:
+        listed = set()
+        for k, (profile, value) in enumerate(fn.entries):
+            if len(profile) != len(move_sets) or any(
+                x not in ms for x, ms in zip(profile, move_sets)
+            ):
+                yield GameProblem(
+                    f"profile {_fmt_profile(profile)} does not match the move sets",
+                    InvalidProfileError, "type-mismatch", ("entry", k),
+                )
+            elif profile in listed:
+                yield GameProblem(
+                    f"profile {_fmt_profile(profile)} listed twice",
+                    ValueError, "duplicate", ("entry", k),
+                )
+            else:
+                listed.add(profile)
+                if value not in outcomes:
+                    yield GameProblem(
+                        f"outcome for {_fmt_profile(profile)} lies outside the outcome space",
+                        ValueError, "type-mismatch", ("entry", k),
+                    )
+        total = math.prod(len(ms) for ms in move_sets)
+        if len(listed) < total:
+            first = next(
+                s for s in cartesian(*(ms.labels for ms in move_sets)) if s not in listed
+            )
+            yield GameProblem(
+                f"outcome table misses {total - len(listed)} profile(s), "
+                f"e.g. {_fmt_profile(first)}",
+                ValueError, "arity", ("table", None),
+            )
+
+
+@dataclass(frozen=True)
 class Game:
     """A finite game; construction validates shapes so evaluation cannot.
 
-    Rejected here: duplicate player names, selections that cannot match the
-    outcome space, selections that can come back empty (they would make a
-    player impossible to satisfy), and outcome functions that are partial
-    or step outside the outcome space.
+    Rejected here, with the first of `game_problems`: duplicate player
+    names, selections that cannot match the outcome space, selections that
+    can come back empty (they would make a player impossible to satisfy),
+    and outcome functions that are partial or step outside the outcome
+    space.
     """
 
     name: str
@@ -125,59 +233,10 @@ class Game:
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(self.players))
-        if not self.players:
-            raise ValueError("a game needs at least one player")
-        names = [p.name for p in self.players]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate player names in {names!r}")
-        for p in self.players:
-            if may_be_empty(p.selection):
-                raise ValueError(
-                    f"player {p.name}: selection can be empty on some contexts; "
-                    "wrap it in a lexical tie-breaker or give it a fallback"
-                )
-            check_shape(p.selection, p.moves, self.outcomes)
-        self._check_outcome_fn()
-
-    def _check_outcome_fn(self):
+        for problem in game_problems(self.players, self.outcomes, self.outcome_fn):
+            raise problem.error(problem.message)
         fn = self.outcome_fn
-        if fn.kind == "identity":
-            expected = ProductOutcomes(tuple(p.moves for p in self.players))
-            if self.outcomes != expected:
-                raise ValueError(
-                    "identity outcome function needs the outcome space to be "
-                    "exactly the product of the players' move sets"
-                )
-        elif fn.kind == "majority":
-            if not isinstance(self.outcomes, AtomOutcomes):
-                raise ValueError("majority rule needs atom outcomes")
-            for p in self.players:
-                for label in p.moves:
-                    if label not in self.outcomes:
-                        raise ValueError(
-                            f"majority winner {label!r} would fall outside the outcome space"
-                        )
-        else:
-            listed = set()
-            for profile, value in fn.entries:
-                if profile in listed:
-                    raise ValueError(f"profile {profile!r} listed twice")
-                listed.add(profile)
-                if len(profile) != len(self.players) or any(
-                    x not in p.moves for x, p in zip(profile, self.players)
-                ):
-                    raise InvalidProfileError(
-                        f"table profile {profile!r} does not match the move sets"
-                    )
-                if value not in self.outcomes:
-                    raise ValueError(
-                        f"outcome {value!r} for {profile!r} lies outside the outcome space"
-                    )
-            if len(listed) != self.profile_count():
-                raise ValueError(
-                    f"outcome table covers {len(listed)} of "
-                    f"{self.profile_count()} profiles"
-                )
+        if fn.kind == "table":
             # canonicalize entry order so equal games compare equal however
             # their tables were written down
             rank = {s: k for k, s in enumerate(self.profiles())}

@@ -3,28 +3,36 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from hog import (
     ArgmaxOrder,
+    AtomOutcomes,
+    Coord,
+    Fix,
     FixProj,
     Game,
     GameSource,
+    HogError,
     MoveSet,
     Player,
     PreferenceOrder,
     ProductOutcomes,
     RenderError,
+    TargetCoord,
     VectorOutcomes,
     builtin,
     builtin_names,
     enumerate_equilibria,
     identity_rule,
+    majority_rule,
     outcome_table,
     parse_game,
     render_game,
     tabulate,
 )
 from hog.dsl import MAX_SELECTION_DEPTH
+from test_engine import _majority_games
 
 KEYNES_TEXT = """\
 # three voters, the first wants A to win, the others vote with the crowd
@@ -127,6 +135,7 @@ def test_empty_document_reports_every_missing_section():
     assert "no moves declared" in messages
     assert "missing outcomes declaration" in messages
     assert "missing outcome_fn declaration" in messages
+    assert {d.code for d in result.errors()} == {"missing"}
 
 
 def test_player_line_must_follow_its_moves():
@@ -143,9 +152,19 @@ def test_moves_without_player_is_an_error():
     text = "game g\nmoves P1 = { A, B }\noutcomes = { A, B }\noutcome_fn = majority\n"
     result = parse_game(text)
     assert any(
-        d.message == "no player declaration for P1" and d.line == 2
+        d.message == "no player declaration for P1" and d.line == 2 and d.code == "missing"
         for d in result.errors()
     )
+
+
+def test_a_broken_player_line_still_declares_its_player():
+    text = (
+        "game g\nmoves P1 = { A, B }\noutcomes = { A, B }\noutcome_fn = majority\n"
+        "player P1 = lex(fix fix)\n"
+    )
+    result = parse_game(text)
+    assert [(d.line, d.column) for d in result.diagnostics] == [(5, 21)]
+    assert result.errors()[0].message == "expected ',', got 'fix'"
 
 
 def test_duplicate_sections_are_flagged():
@@ -228,19 +247,36 @@ def test_majority_needs_an_odd_crowd():
         "player P1 = fix\nplayer P2 = fix\n"
     )
     result = parse_game(text)
-    assert any(
-        "odd number of players" in d.message for d in result.errors()
-    )
+    assert result.ok and not result.diagnostics
+    ab = MoveSet(("A", "B"))
+    players = (Player("P1", ab, Fix()), Player("P2", ab, Fix()))
+    assert result.game == Game("g", players, AtomOutcomes(("A", "B")), majority_rule())
+    report = enumerate_equilibria(result.game)
+    assert report.selection_equilibria() == (("A", "A"), ("B", "B"))
 
 
 def test_majority_needs_two_shared_moves():
     text = (
-        "game g\nmoves P1 = { A, B, C }\nmoves P2 = { A, B, C }\nmoves P3 = { A, B, C }\n"
+        "game g\nmoves P1 = { A, B, C }\nmoves P2 = { C, A, B }\nmoves P3 = { A, B, C }\n"
         "outcomes = { A, B, C }\noutcome_fn = majority\n"
         "player P1 = fix\nplayer P2 = fix\nplayer P3 = fix\n"
     )
     result = parse_game(text)
-    assert any("exactly two moves" in d.message for d in result.errors())
+    assert result.ok and not result.diagnostics
+    assert result.game.outcome(("A", "B", "C")) == "A"
+    different = text.replace("moves P2 = { C, A, B }", "moves P2 = { A, B }").replace(
+        "player P2 = fix", "player P2 = argmax(order: C < B < A)"
+    )
+    assert errors(parse_game(different)) == [
+        ("type-mismatch", 6, "majority rule needs every player to share one move set")
+    ]
+    players = (
+        Player("P1", MoveSet(("A", "B", "C")), Fix()),
+        Player("P2", MoveSet(("A", "B")), ArgmaxOrder(PreferenceOrder(("A", "B", "C")))),
+        Player("P3", MoveSet(("A", "B", "C")), Fix()),
+    )
+    with pytest.raises(ValueError, match="share one move set"):
+        Game("g", players, AtomOutcomes(("A", "B", "C")), majority_rule())
 
 
 def test_identity_needs_product_outcomes():
@@ -451,3 +487,104 @@ def test_game_source_text_survives_a_round_trip():
     assert isinstance(src, GameSource)
     again = render_game(parse_game(src).game)
     assert again.text == src.text
+
+
+# ---------------------------------------------------------------------------
+# one validator: Game decides, the parser only locates
+# ---------------------------------------------------------------------------
+
+
+@given(case=_majority_games())
+def test_majority_games_round_trip_through_the_text_format(case):
+    game = case[0]
+    result = parse_game(render_game(game))
+    assert result.ok and not result.diagnostics
+    assert result.game == game
+
+
+_AB = MoveSet(("A", "B"))
+_ABC = MoveSet(("A", "B", "C"))
+_ORDER = ArgmaxOrder(PreferenceOrder(("A", "B", "C")))
+_BF = MoveSet(("B", "F"))
+
+# (text, Game parts, line of the one error, its message)
+INVALID_GAMES = [
+    (
+        "game g\nmoves P1 = { A, B }\nmoves P2 = { A, B }\nmoves P3 = { A, C }\n"
+        "outcomes = { A, B, C }\noutcome_fn = majority\n"
+        "player P1 = argmax(order: C < B < A)\nplayer P2 = argmax(order: C < B < A)\n"
+        "player P3 = argmax(order: C < B < A)\n",
+        (
+            (Player("P1", _AB, _ORDER), Player("P2", _AB, _ORDER),
+             Player("P3", MoveSet(("A", "C")), _ORDER)),
+            AtomOutcomes(("A", "B", "C")), majority_rule(),
+        ),
+        6, "majority rule needs every player to share one move set",
+    ),
+    (
+        "game g\nmoves P1 = { A, B, C }\nmoves P2 = { A, B, C }\n"
+        "outcomes = { A, B }\noutcome_fn = majority\n"
+        "player P1 = argmax(order: B < A)\nplayer P2 = argmax(order: B < A)\n",
+        (
+            tuple(Player(n, _ABC, ArgmaxOrder(PreferenceOrder(("A", "B"))))
+                  for n in ("P1", "P2")),
+            AtomOutcomes(("A", "B")), majority_rule(),
+        ),
+        5, "majority winners would fall outside the outcome space",
+    ),
+    (
+        "game g\nmoves P1 = { A, B }\nmoves P2 = { A, B }\n"
+        "outcomes = { A, B }\noutcome_fn = identity\n"
+        "player P1 = fix\nplayer P2 = fix\n",
+        (
+            (Player("P1", _AB, Fix()), Player("P2", _AB, Fix())),
+            AtomOutcomes(("A", "B")), identity_rule(),
+        ),
+        5, "identity outcome function needs `outcomes = moves`",
+    ),
+    (
+        "game g\nmoves P1 = { A, B }\nmoves P2 = { A, B }\noutcomes = moves\n"
+        "outcome_fn = table {\n  (A, A) -> (A, A) ;\n  (A, B) -> (A, A)\n}\n"
+        "player P1 = coord\nplayer P2 = coord\n",
+        (
+            (Player("P1", _AB, Coord()), Player("P2", _AB, Coord())),
+            ProductOutcomes((_AB, _AB)),
+            outcome_table([(("A", "A"), ("A", "A")), (("A", "B"), ("A", "A"))]),
+        ),
+        8, "outcome table misses 2 profile(s), e.g. (B, A)",
+    ),
+    (
+        "game g\nmoves P1 = { A, B }\noutcomes = { A, B }\noutcome_fn = table {\n"
+        "  (A) -> A ;\n  (B) -> B ;\n  (A) -> B\n}\nplayer P1 = fix\n",
+        (
+            (Player("P1", _AB, Fix()),),
+            AtomOutcomes(("A", "B")),
+            outcome_table([(("A",), "A"), (("B",), "B"), (("A",), "B")]),
+        ),
+        7, "profile (A) listed twice",
+    ),
+    (
+        "game g\nmoves W = { B, F }\nmoves H = { B, F }\n"
+        "outcomes = moves\noutcome_fn = identity\n"
+        "player W = target(coord: 1, value: B)\nplayer H = coord\n",
+        (
+            (Player("W", _BF, TargetCoord(1, "B")), Player("H", _BF, Coord())),
+            ProductOutcomes((_BF, _BF)), identity_rule(),
+        ),
+        6, "player W: this goal can reject every move; give it a fallback inside lex(...)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, parts, line, message",
+    INVALID_GAMES,
+    ids=["voter-AC", "winner-outside", "identity-atoms", "partial", "duplicate", "bare-target"],
+)
+def test_game_and_parser_reject_alike(text, parts, line, message):
+    with pytest.raises((HogError, ValueError)) as raised:
+        Game("g", *parts)
+    assert str(raised.value) == message
+    result = parse_game(text)
+    assert [(d.line, d.message) for d in result.errors()] == [(line, message)]
+    assert "syntax" not in {d.code for d in result.errors()}
