@@ -89,7 +89,10 @@ def _load_game(args) -> Game:
     if args.builtin:
         return builtin(args.builtin)
     if args.file:
-        result = parse_file(args.file)
+        try:
+            result = parse_file(args.file)
+        except UnicodeDecodeError as e:
+            raise _InputError(f"could not read {args.file}: {e}") from e
         for d in result.diagnostics:
             print(f"{args.file}:{d}", file=sys.stderr)
         if not result.ok:

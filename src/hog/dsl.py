@@ -5,7 +5,9 @@ one `game` line, one `moves` line per player (their order fixes player
 order), one `outcomes` line, one `outcome_fn` line, and one `player` line
 per declared move set.  Newlines are soft inside braces and parentheses,
 so outcome tables can span lines.  `parse_game` never returns a partially
-valid game: either every check passes or you get located diagnostics.
+valid game: either every check passes or you get located diagnostics.  A
+statement stops at its first syntax error but still counts as declared, so
+it adds no follow-on "missing" errors.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class ParseResult:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
+_IDENT_RE = re.compile(_IDENT)
 
 _TOKEN_RE = re.compile(
     r"""(?P<COMMENT>\#[^\n]*)
@@ -94,7 +97,7 @@ _TOKEN_RE = re.compile(
       | (?P<WS>[ \t\r]+)
       | (?P<ARROW>->)
       | (?P<NUMBER>-?\d+(?:/\d+)?)
-      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
+      | (?P<IDENT>""" + _IDENT + r""")
       | (?P<PUNCT>[{}(),;:=<])
     """,
     re.VERBOSE,
@@ -177,6 +180,10 @@ def _split_statements(tokens: list[_Token], diags: list) -> list[list[_Token]]:
     return stmts
 
 
+class _Stop(Exception):
+    """A diagnostic has been recorded; abandon the statement or table entry."""
+
+
 class _Cursor:
     def __init__(self, tokens: list[_Token], diags: list):
         self.tokens = tokens
@@ -192,20 +199,12 @@ class _Cursor:
             self.i += 1
         return tok
 
-    def at(self, kind: Optional[str] = None, text: Optional[str] = None) -> bool:
+    def at(self, kind: str, text: Optional[str] = None) -> bool:
         tok = self.peek()
-        if tok is None:
-            return False
-        if kind is not None and tok.kind != kind:
-            return False
-        if text is not None and tok.text != text:
-            return False
-        return True
+        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
 
-    def take(self, kind: Optional[str] = None, text: Optional[str] = None):
-        if self.at(kind, text):
-            return self.advance()
-        return None
+    def take(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
+        return self.advance() if self.at(kind, text) else None
 
     def anchor(self) -> tuple[int, int]:
         """Best location for an error at the cursor: the next token, or just
@@ -218,241 +217,217 @@ class _Cursor:
             return last.line, last.column + len(last.text)
         return 1, 1
 
-    def error(self, message: str, code: str = "syntax") -> None:
-        line, col = self.anchor()
+    def error(self, message: str, code: str = "syntax", tok: Optional[_Token] = None):
+        """Record an error at `tok`, or at the cursor."""
+        line, col = (tok.line, tok.column) if tok else self.anchor()
         self.diags.append(ParseDiagnostic("error", message, line, col, code))
 
-    def expect(self, what: str, kind: Optional[str] = None, text: Optional[str] = None):
-        tok = self.take(kind, text)
-        if tok is None:
-            found = self.peek()
-            got = f", got {found.text!r}" if found else ""
-            self.error(f"expected {what}{got}")
-        return tok
+    def fail(self, message: str, code: str = "syntax", tok: Optional[_Token] = None):
+        self.error(message, code, tok)
+        raise _Stop
+
+    def expected(self, what: str):
+        found = self.peek()
+        self.fail(f"expected {what}" + (f", got {found.text!r}" if found else ""))
+
+    def expect(self, what: str, kind: str, text: Optional[str] = None) -> _Token:
+        return self.take(kind, text) or self.expected(what)
+
+    def label(self, what: str) -> _Token:
+        return self.take("IDENT") or self.fail(f"expected {what}")
 
 
-# ---------------------------------------------------------------------------
-# Statement parsing
-# ---------------------------------------------------------------------------
-# Parsed statements are plain tuples tagged with their kind; the semantic
-# pass below turns them into a Game.  Locations ride along for diagnostics.
-
-
-def _parse_label_braces(cur: _Cursor) -> Optional[list[_Token]]:
-    if cur.expect("'{'", "PUNCT", "{") is None:
-        return None
-    labels = []
+def _items(cur: _Cursor, what: str, sep: str, close: str, kinds=("IDENT",)):
+    """Yield the item tokens of `item (sep item)*`, stopping at (not past)
+    the `close` token; an item is a token of one of `kinds`."""
     while True:
-        tok = cur.take("IDENT")
-        if tok is None:
-            cur.error("expected a move label")
-            return None
-        labels.append(tok)
-        if cur.take("PUNCT", ","):
-            continue
-        if cur.take("PUNCT", "}"):
-            return labels
-        cur.error("expected ',' or '}'")
-        return None
+        tok = cur.peek()
+        if tok is None or tok.kind not in kinds:
+            cur.fail(f"expected {what}")
+        yield cur.advance()
+        if not cur.take("PUNCT", sep):
+            break
+    if not cur.at("PUNCT", close):
+        cur.fail(f"expected '{sep}' or '{close}'")
 
 
-def _parse_selexpr(cur: _Cursor, depth: int = 1) -> Optional[SelectionFunction]:
-    if depth > MAX_SELECTION_DEPTH:
-        cur.error(
-            f"selection expression nests deeper than {MAX_SELECTION_DEPTH} levels",
-            "too-deep",
-        )
-        return None
-    tok = cur.take("IDENT")
-    if tok is None:
-        cur.error("expected a selection expression")
-        return None
-    name = tok.text
-    if name in ("fix", "nonfix"):
-        if cur.at("PUNCT", "("):
-            n = _parse_coord_args(cur)
-            if n is None:
-                return None
-            return FixProj(n) if name == "fix" else NonFixProj(n)
-        return Fix() if name == "fix" else NonFix()
-    if name == "coord":
-        return Coord()
-    if name == "argmax":
-        return _parse_argmax(cur)
-    if name == "target":
-        return _parse_target(cur)
-    if name == "lex":
-        if cur.expect("'('", "PUNCT", "(") is None:
-            return None
-        first = _parse_selexpr(cur, depth + 1)
-        if first is None:
-            return None
-        if cur.expect("','", "PUNCT", ",") is None:
-            return None
-        second = _parse_selexpr(cur, depth + 1)
-        if second is None:
-            return None
-        if cur.expect("')'", "PUNCT", ")") is None:
-            return None
-        return Lex(first, second)
-    cur.diags.append(
-        ParseDiagnostic(
-            "error",
-            f"unknown selection constructor {name!r}",
-            tok.line,
-            tok.column,
-            "unknown-constructor",
-        )
-    )
-    return None
+def _label_set(cur: _Cursor, what: str) -> tuple[str, ...]:
+    """`{ a, b, ... }`; a repeated label is reported and reading goes on."""
+    cur.expect("'{'", "PUNCT", "{")
+    toks = list(_items(cur, "a move label", ",", "}"))
+    cur.advance()
+    seen = set()
+    for tok in toks:
+        if tok.text in seen:
+            cur.error(f"duplicate {what} label {tok.text!r}", "duplicate", tok)
+        seen.add(tok.text)
+    return tuple(tok.text for tok in toks)
 
 
-def _parse_coord_index(cur: _Cursor) -> Optional[int]:
+def _positive(cur: _Cursor, what: str) -> int:
     tok = cur.take("NUMBER")
     if tok is None or not tok.text.isdigit() or int(tok.text) < 1:
-        cur.error("expected a positive coordinate index")
-        return None
+        cur.fail(f"expected a positive {what}")
     return int(tok.text)
 
 
-def _parse_coord_args(cur: _Cursor) -> Optional[int]:
-    # the "(coord: i)" suffix shared by fix, nonfix and argmax
-    if cur.expect("'('", "PUNCT", "(") is None:
-        return None
-    if cur.expect("'coord'", "IDENT", "coord") is None:
-        return None
-    if cur.expect("':'", "PUNCT", ":") is None:
-        return None
-    n = _parse_coord_index(cur)
-    if n is None:
-        return None
-    if cur.expect("')'", "PUNCT", ")") is None:
-        return None
-    return n
+# ---------------------------------------------------------------------------
+# Goals
+# ---------------------------------------------------------------------------
 
 
-def _parse_argmax(cur: _Cursor) -> Optional[SelectionFunction]:
-    if cur.expect("'('", "PUNCT", "(") is None:
-        return None
-    key = cur.take("IDENT")
-    if key is None or key.text not in ("order", "coord"):
-        cur.error("expected 'order:' or 'coord:' inside argmax(...)")
-        return None
-    if cur.expect("':'", "PUNCT", ":") is None:
-        return None
-    if key.text == "coord":
-        n = _parse_coord_index(cur)
-        if n is None:
-            return None
-        if cur.expect("')'", "PUNCT", ")") is None:
-            return None
-        return ArgmaxCoord(n)
+def _read_order(cur: _Cursor) -> PreferenceOrder:
     labels = []
-    while True:
-        tok = cur.take("IDENT")
-        if tok is None:
-            cur.error("expected an outcome label in the order")
-            return None
+    for tok in _items(cur, "an outcome label in the order", "<", ")"):
         if tok.text in labels:
-            cur.diags.append(
-                ParseDiagnostic(
-                    "error",
-                    f"label {tok.text!r} appears twice in the order",
-                    tok.line,
-                    tok.column,
-                    "duplicate",
-                )
-            )
-            return None
+            cur.fail(f"label {tok.text!r} appears twice in the order", "duplicate", tok)
         labels.append(tok.text)
-        if cur.take("PUNCT", "<"):
-            continue
-        if cur.take("PUNCT", ")"):
-            # the source lists values worst-to-best; the order wants best first
-            return ArgmaxOrder(PreferenceOrder(tuple(reversed(labels))))
-        cur.error("expected '<' or ')'")
-        return None
+    # the source lists values worst-to-best; the order wants best first
+    return PreferenceOrder(tuple(reversed(labels)))
 
 
-def _parse_target(cur: _Cursor) -> Optional[SelectionFunction]:
-    if cur.expect("'('", "PUNCT", "(") is None:
-        return None
-    if cur.expect("'coord'", "IDENT", "coord") is None:
-        return None
-    if cur.expect("':'", "PUNCT", ":") is None:
-        return None
-    n = _parse_coord_index(cur)
-    if n is None:
-        return None
-    if cur.expect("','", "PUNCT", ",") is None:
-        return None
-    if cur.expect("'value'", "IDENT", "value") is None:
-        return None
-    if cur.expect("':'", "PUNCT", ":") is None:
-        return None
-    value = cur.take("IDENT")
-    if value is None:
-        cur.error("expected a move label as the target value")
-        return None
-    if cur.expect("')'", "PUNCT", ")") is None:
-        return None
-    return TargetCoord(n, value.text)
+def _write_order(order: PreferenceOrder) -> str:
+    return " < ".join(
+        _require_ident(v, "outcome value") for v in reversed(order.ranking)
+    )
 
 
-def _parse_table_value(cur: _Cursor):
+#: How each keyword argument of a goal is read and written.
+_GOAL_ARGS = {
+    "coord": (lambda cur: _positive(cur, "coordinate index"), str),
+    "value": (
+        lambda cur: cur.label("a move label as the target value").text,
+        lambda value: _require_ident(value, "target value"),
+    ),
+    "order": (_read_order, _write_order),
+}
+
+#: The goal grammar: constructor name, keyword arguments in written order,
+#: and the class they build.  `lex(e1, e2)` is the one form read on its own.
+_GOALS = (
+    ("fix", (), Fix),
+    ("fix", ("coord",), FixProj),
+    ("nonfix", (), NonFix),
+    ("nonfix", ("coord",), NonFixProj),
+    ("coord", (), Coord),
+    ("argmax", ("order",), ArgmaxOrder),
+    ("argmax", ("coord",), ArgmaxCoord),
+    ("target", ("coord", "value"), TargetCoord),
+)
+
+
+def _goal(cur: _Cursor, depth: int = 1) -> SelectionFunction:
+    if depth > MAX_SELECTION_DEPTH:
+        cur.fail(
+            f"selection expression nests deeper than {MAX_SELECTION_DEPTH} levels",
+            "too-deep",
+        )
+    tok = cur.label("a selection expression")
+    if tok.text == "lex":
+        cur.expect("'('", "PUNCT", "(")
+        first = _goal(cur, depth + 1)
+        cur.expect("','", "PUNCT", ",")
+        second = _goal(cur, depth + 1)
+        cur.expect("')'", "PUNCT", ")")
+        return Lex(first, second)
+    # rows of this constructor, keyed by their first argument
+    rows = {
+        args[0] if args else None: (args, cls)
+        for name, args, cls in _GOALS
+        if name == tok.text
+    }
+    if not rows:
+        cur.fail(
+            f"unknown selection constructor {tok.text!r}", "unknown-constructor", tok
+        )
+    bare = rows.pop(None, None)
+    if bare and not (rows and cur.at("PUNCT", "(")):
+        return bare[1]()
+    cur.expect("'('", "PUNCT", "(")
+    key = cur.peek()
+    if key is None or key.text not in rows:
+        cur.expected(" or ".join(map(repr, rows)))
+    args, cls = rows[key.text]
+    values = []
+    for i, arg in enumerate(args):
+        if i:
+            cur.expect("','", "PUNCT", ",")
+        cur.expect(repr(arg), "IDENT", arg)
+        cur.expect("':'", "PUNCT", ":")
+        values.append(_GOAL_ARGS[arg][0](cur))
+    cur.expect("')'", "PUNCT", ")")
+    return cls(*values)
+
+
+def _render_selexpr(sel: SelectionFunction) -> str:
+    if isinstance(sel, Lex):
+        return f"lex({_render_selexpr(sel.primary)}, {_render_selexpr(sel.secondary)})"
+    for name, args, cls in _GOALS:
+        if isinstance(sel, cls):
+            if not args:
+                return name
+            written = (f"{arg}: {_GOAL_ARGS[arg][1](getattr(sel, arg))}" for arg in args)
+            return f"{name}({', '.join(written)})"
+    raise RenderError(f"{type(sel).__name__} has no textual form")
+
+
+# ---------------------------------------------------------------------------
+# Statements
+# ---------------------------------------------------------------------------
+
+
+def _fraction(cur: _Cursor, tok: _Token) -> Fraction:
+    try:
+        return Fraction(tok.text)
+    except ZeroDivisionError:
+        cur.fail(f"{tok.text} has a zero denominator", tok=tok)
+
+
+def _table_value(cur: _Cursor):
     """An outcome after '->': a bare label, a label tuple, or a payoff vector."""
     tok = cur.take("IDENT")
     if tok is not None:
-        return ("atom", tok.text)
-    if cur.expect("an outcome value", "PUNCT", "(") is None:
-        return None
-    items = []
-    kinds = set()
-    while True:
-        item = cur.peek()
-        if item is not None and item.kind in ("IDENT", "NUMBER"):
-            cur.advance()
-            items.append(item)
-            kinds.add(item.kind)
-        else:
-            cur.error("expected a label or a rational number")
-            return None
-        if cur.take("PUNCT", ","):
-            continue
-        if cur.take("PUNCT", ")"):
-            break
-        cur.error("expected ',' or ')'")
-        return None
+        return tok.text
+    cur.expect("an outcome value", "PUNCT", "(")
+    items = list(
+        _items(cur, "a label or a rational number", ",", ")", ("IDENT", "NUMBER"))
+    )
+    cur.advance()
+    kinds = {t.kind for t in items}
     if kinds == {"IDENT"}:
-        return ("labels", tuple(t.text for t in items))
+        return tuple(t.text for t in items)
     if kinds == {"NUMBER"}:
-        return ("numbers", tuple(Fraction(t.text) for t in items))
-    cur.error("outcome value mixes labels and numbers")
-    return None
+        return tuple(_fraction(cur, t) for t in items)
+    cur.fail("outcome value mixes labels and numbers")
 
 
-def _parse_table_entries(cur: _Cursor):
-    """Entries of `table { ... }`; returns (entries, close_token) or None.
+def _table_entry(cur: _Cursor):
+    """`(labels) -> value`, as (profile, value, its '(' token)."""
+    head = cur.expect("'('", "PUNCT", "(")
+    labels = _items(cur, "a move label in the profile", ",", ")")
+    profile = tuple(t.text for t in labels)
+    cur.advance()
+    cur.expect("'->'", "ARROW")
+    return profile, _table_value(cur), head
 
-    Each entry is ((labels), value, its '(' token).  On a bad entry we skip
-    to the next ';' so later entries still get checked.
+
+def _table(cur: _Cursor):
+    """`{ entry ; ... }` as (entries, closing token).
+
+    A bad entry is reported and skipped up to the next ';' or '}', so later
+    entries still get checked.
     """
-    if cur.expect("'{'", "PUNCT", "{") is None:
-        return None
+    cur.expect("'{'", "PUNCT", "{")
     entries = []
-    while True:
-        if cur.at("PUNCT", "}"):
-            return entries, cur.advance()
-        entry = _parse_table_entry(cur)
-        if entry is not None:
-            entries.append(entry)
-        else:
-            # resynchronize at the next separator or the closing brace
+    while not cur.at("PUNCT", "}"):
+        try:
+            entries.append(_table_entry(cur))
+        except _Stop:
             depth = 0
             while True:
                 tok = cur.peek()
                 if tok is None:
-                    return None
+                    raise
                 if depth == 0 and tok.kind == "PUNCT" and tok.text in ";}":
                     break
                 if tok.kind == "PUNCT" and tok.text == "(":
@@ -460,135 +435,81 @@ def _parse_table_entries(cur: _Cursor):
                 elif tok.kind == "PUNCT" and tok.text == ")":
                     depth -= 1
                 cur.advance()
-        if cur.take("PUNCT", ";"):
+        if cur.take("PUNCT", ";") or cur.at("PUNCT", "}"):
             continue
-        if cur.at("PUNCT", "}"):
-            return entries, cur.advance()
         cur.error("expected ';' or '}' after a table entry")
-        if cur.peek() is None:
-            return None
-        cur.advance()  # skip one token so malformed input cannot loop
+        if cur.advance() is None:  # skip one token so malformed input cannot loop
+            raise _Stop
+    return entries, cur.advance()
 
 
-def _parse_table_entry(cur: _Cursor):
-    head = cur.peek()
-    if cur.expect("'('", "PUNCT", "(") is None:
-        return None
-    profile = []
-    while True:
-        tok = cur.take("IDENT")
-        if tok is None:
-            cur.error("expected a move label in the profile")
-            return None
-        profile.append(tok.text)
-        if cur.take("PUNCT", ","):
-            continue
-        if cur.take("PUNCT", ")"):
-            break
-        cur.error("expected ',' or ')'")
-        return None
-    if cur.expect("'->'", "ARROW") is None:
-        return None
-    value = _parse_table_value(cur)
-    if value is None:
-        return None
-    return (tuple(profile), value, head)
+def _read_outcomes(cur: _Cursor):
+    """"moves", a vector length, or the tuple of atom labels."""
+    if cur.take("IDENT", "moves") or cur.take("IDENT", "product"):
+        return "moves"
+    if cur.take("IDENT", "vectors"):
+        return _positive(cur, "vector length")
+    if cur.at("PUNCT", "{"):
+        return _label_set(cur, "outcome")
+    cur.fail("expected 'moves', 'vectors <n>', or '{ ... }'")
 
 
-def _parse_statement(tokens: list[_Token], diags: list):
-    cur = _Cursor(tokens, diags)
+def _read_outcome_fn(cur: _Cursor):
+    """(kind, table entries, the table's closing token)."""
+    kind = cur.label("'majority', 'identity', or 'table'")
+    if kind.text in ("majority", "identity"):
+        return kind.text, [], None
+    if kind.text == "table":
+        return ("table", *_table(cur))
+    cur.fail(f"unknown outcome function {kind.text!r}", "unknown-constructor", kind)
+
+
+#: statement keyword -> (what a second declaration is called, reader of what
+#: follows the '='); `{}` marks the statements keyed by a player name, and
+#: `game` is the one statement without a '='
+_STATEMENTS = {
+    "game": ("game name", lambda cur: cur.expect("a game name", "IDENT").text),
+    "moves": ("moves for {}", lambda cur: _label_set(cur, "move")),
+    "outcomes": ("outcomes", _read_outcomes),
+    "outcome_fn": ("outcome_fn", _read_outcome_fn),
+    "player": ("player {}", _goal),
+}
+
+
+def _statement(cur: _Cursor, decl: dict) -> None:
+    """Read one statement into `decl[key] = [keyword token, value]`.
+
+    The key is ("game",), ("moves", P), ("outcomes",), ("outcome_fn",) or
+    ("player", P).  It is set as soon as the keyword and name are read, so
+    a broken statement still counts as declared, with value None.
+    """
     head = cur.advance()
     if head.kind != "IDENT":
-        cur.diags.append(
-            ParseDiagnostic(
-                "error",
-                f"expected a statement keyword, got {head.text!r}",
-                head.line,
-                head.column,
-            )
-        )
-        return None
-    stmt = declared = None
-    if head.text == "game":
-        name = cur.expect("a game name", "IDENT")
-        if name is not None:
-            stmt = ("game", name.text, head)
-    elif head.text == "moves":
-        name = cur.expect("a player name", "IDENT")
-        if name is not None and cur.expect("'='", "PUNCT", "=") is not None:
-            labels = _parse_label_braces(cur)
-            if labels is not None:
-                stmt = ("moves", name.text, labels, head)
-    elif head.text == "outcomes":
-        if cur.expect("'='", "PUNCT", "=") is not None:
-            if cur.take("IDENT", "moves") or cur.take("IDENT", "product"):
-                stmt = ("outcomes", ("moves",), head)
-            elif cur.take("IDENT", "vectors"):
-                tok = cur.take("NUMBER")
-                if tok is None or not tok.text.isdigit() or int(tok.text) < 1:
-                    cur.error("expected a positive vector length")
-                else:
-                    stmt = ("outcomes", ("vectors", int(tok.text)), head)
-            elif cur.at("PUNCT", "{"):
-                labels = _parse_label_braces(cur)
-                if labels is not None:
-                    stmt = ("outcomes", ("atoms", labels), head)
-            else:
-                cur.error("expected 'moves', 'vectors <n>', or '{ ... }'")
-    elif head.text == "outcome_fn":
-        if cur.expect("'='", "PUNCT", "=") is not None:
-            kind = cur.take("IDENT")
-            if kind is None:
-                cur.error("expected 'majority', 'identity', or 'table'")
-            elif kind.text in ("majority", "identity"):
-                stmt = ("outcome_fn", kind.text, None, None, head)
-            elif kind.text == "table":
-                parsed = _parse_table_entries(cur)
-                if parsed is not None:
-                    entries, close = parsed
-                    stmt = ("outcome_fn", "table", entries, close, head)
-            else:
-                cur.diags.append(
-                    ParseDiagnostic(
-                        "error",
-                        f"unknown outcome function {kind.text!r}",
-                        kind.line,
-                        kind.column,
-                        "unknown-constructor",
-                    )
-                )
-    elif head.text == "player":
-        name = cur.expect("a player name", "IDENT")
-        if name is not None:
-            # a named player line declares the player even when the rest of
-            # it is broken; its own error says what is wrong
-            declared = ("player", name.text, None, head)
-            if cur.expect("'='", "PUNCT", "=") is not None:
-                sel = _parse_selexpr(cur)
-                if sel is not None:
-                    stmt = ("player", name.text, sel, head)
+        cur.fail(f"expected a statement keyword, got {head.text!r}", tok=head)
+    if head.text not in _STATEMENTS:
+        cur.fail(f"unknown statement {head.text!r}", tok=head)
+    what, read = _STATEMENTS[head.text]
+    key = (head.text,)
+    if "{}" in what:
+        key += (cur.expect("a player name", "IDENT").text,)
+        what = what.format(key[1])
+    entry = [head, None]
+    if key in decl:
+        cur.error(f"{what} declared twice", "duplicate", head)
     else:
-        cur.diags.append(
-            ParseDiagnostic(
-                "error",
-                f"unknown statement {head.text!r}",
-                head.line,
-                head.column,
-            )
+        decl[key] = entry
+    if key[0] != "game":
+        cur.expect("'='", "PUNCT", "=")
+    value = read(cur)
+    tok = cur.peek()
+    if tok is not None:
+        cur.fail(f"unexpected {tok.text!r} after the end of the statement", tok=tok)
+    entry[1] = value
+    if key[0] == "player" and decl[key] is entry and ("moves", key[1]) not in decl:
+        del decl[key]
+        cur.error(
+            f"moves for {key[1]} must be declared before its player line", "missing", head
         )
-        return None
-    if stmt is not None and cur.peek() is not None:
-        tok = cur.peek()
-        cur.diags.append(
-            ParseDiagnostic(
-                "error",
-                f"unexpected {tok.text!r} after the end of the statement",
-                tok.line,
-                tok.column,
-            )
-        )
-        return declared
-    return stmt or declared
 
 
 # ---------------------------------------------------------------------------
@@ -600,152 +521,78 @@ def _err(diags, tok, message, code):
     diags.append(ParseDiagnostic("error", message, tok.line, tok.column, code))
 
 
-def _warn(diags, tok, message, code="unreachable-outcome"):
-    diags.append(ParseDiagnostic("warning", message, tok.line, tok.column, code))
-
-
 def parse_game(src) -> ParseResult:
-    """Parse a document into a validated Game, or into error diagnostics."""
-    if isinstance(src, GameSource):
-        text = src.text
-    else:
-        text = src
+    """Parse a document into a validated Game, or into error diagnostics.
+
+    Never raises on bad input: every problem is a located diagnostic.
+    """
+    text = src.text if isinstance(src, GameSource) else src
     diags: list[ParseDiagnostic] = []
-    tokens = _tokenize(text, diags)
-    statements = [
-        s
-        for s in (
-            _parse_statement(st, diags) for st in _split_statements(tokens, diags)
-        )
-        if s is not None
-    ]
+    decl: dict = {}
+    for tokens in _split_statements(_tokenize(text, diags), diags):
+        try:
+            _statement(_Cursor(tokens, diags), decl)
+        except _Stop:
+            pass
 
-    game_name = None
-    moves_order: list[str] = []
-    moves_by_name: dict[str, tuple[MoveSet, _Token]] = {}
-    outcomes_decl = None
-    fn_decl = None
-    players: dict[str, tuple[Optional[SelectionFunction], _Token]] = {}
-
-    for stmt in statements:
-        tag = stmt[0]
-        if tag == "game":
-            _, name, tok = stmt
-            if game_name is not None:
-                _err(diags, tok, "game name declared twice", "duplicate")
-            else:
-                game_name = name
-        elif tag == "moves":
-            _, name, label_toks, tok = stmt
-            if name in moves_by_name:
-                _err(diags, tok, f"moves for {name} declared twice", "duplicate")
-                continue
-            seen = set()
-            labels = []
-            ok = True
-            for lt in label_toks:
-                if lt.text in seen:
-                    _err(diags, lt, f"duplicate move label {lt.text!r}", "duplicate")
-                    ok = False
-                seen.add(lt.text)
-                labels.append(lt.text)
-            if ok:
-                moves_by_name[name] = (MoveSet(tuple(labels)), tok)
-                moves_order.append(name)
-        elif tag == "outcomes":
-            _, shape, tok = stmt
-            if outcomes_decl is not None:
-                _err(diags, tok, "outcomes declared twice", "duplicate")
-            else:
-                outcomes_decl = (shape, tok)
-        elif tag == "outcome_fn":
-            _, kind, entries, close, tok = stmt
-            if fn_decl is not None:
-                _err(diags, tok, "outcome_fn declared twice", "duplicate")
-            else:
-                fn_decl = (kind, entries, close, tok)
-        elif tag == "player":
-            _, name, sel, tok = stmt
-            if name in players:
-                _err(diags, tok, f"player {name} declared twice", "duplicate")
-            elif name not in moves_by_name and sel is not None:
-                _err(
-                    diags,
-                    tok,
-                    f"moves for {name} must be declared before its player line",
-                    "missing",
-                )
-            else:
-                players[name] = (sel, tok)
+    def failed():
+        return any(d.severity == "error" for d in diags)
 
     def finish(game=None):
         ordered = tuple(sorted(diags, key=lambda d: (d.line, d.column)))
         return ParseResult(game, ordered)
 
     top = _Token("IDENT", "", 1, 1)
-    if game_name is None:
+    names = [key[1] for key in decl if key[0] == "moves"]
+    if ("game",) not in decl:
         _err(diags, top, "missing game declaration", "missing")
-    if not moves_order:
+    if not names:
         _err(diags, top, "no moves declared", "missing")
-    if outcomes_decl is None:
+    if ("outcomes",) not in decl:
         _err(diags, top, "missing outcomes declaration", "missing")
-    if fn_decl is None:
+    if ("outcome_fn",) not in decl:
         _err(diags, top, "missing outcome_fn declaration", "missing")
-    for name in moves_order:
-        if name not in players:
+    for name in names:
+        # a broken moves line may have swallowed its player line
+        if decl["moves", name][1] is not None and ("player", name) not in decl:
             _err(
-                diags,
-                moves_by_name[name][1],
-                f"no player declaration for {name}",
-                "missing",
+                diags, decl["moves", name][0], f"no player declaration for {name}", "missing"
             )
-    if any(d.severity == "error" for d in diags):
+    if failed():
         return finish()
 
-    move_sets = tuple(moves_by_name[n][0] for n in moves_order)
-    shape, outcomes_tok = outcomes_decl
-    kind, raw_entries, close_tok, fn_tok = fn_decl
+    move_sets = tuple(MoveSet(decl["moves", n][1]) for n in names)
+    outcomes_tok, shape = decl["outcomes",]
+    fn_tok, (kind, entries, close_tok) = decl["outcome_fn",]
 
     # pin down the outcome space (vector levels come from the table)
-    outcomes = None
-    if shape[0] == "atoms":
-        seen = set()
-        labels = []
-        for lt in shape[1]:
-            if lt.text in seen:
-                _err(diags, lt, f"duplicate outcome label {lt.text!r}", "duplicate")
-            seen.add(lt.text)
-            labels.append(lt.text)
-        if not any(d.severity == "error" for d in diags):
-            outcomes = AtomOutcomes(tuple(labels))
-    elif shape[0] == "moves":
+    if shape == "moves":
         outcomes = ProductOutcomes(move_sets)
-    else:
-        dim = shape[1]
-        if kind != "table":
-            _err(
-                diags,
-                fn_tok,
-                "vector outcomes need an explicit outcome table",
-                "type-mismatch",
-            )
-        else:
-            levels = set()
-            for profile, value, head in raw_entries:
-                if value[0] != "numbers" or len(value[1]) != dim:
-                    _err(
-                        diags,
-                        head,
-                        f"expected a payoff vector of {dim} rationals for "
-                        f"({', '.join(profile)})",
-                        "type-mismatch",
-                    )
-                else:
-                    levels.update(value[1])
-            if not any(d.severity == "error" for d in diags):
-                outcomes = VectorOutcomes(dim, tuple(sorted(levels)))
-    if outcomes is None:
+    elif isinstance(shape, tuple):
+        outcomes = AtomOutcomes(shape)
+    elif kind != "table":
+        _err(
+            diags, fn_tok, "vector outcomes need an explicit outcome table", "type-mismatch"
+        )
         return finish()
+    else:
+        for profile, value, head in entries:
+            if isinstance(value, str) or isinstance(value[0], str) or len(value) != shape:
+                _err(
+                    diags,
+                    head,
+                    f"expected a payoff vector of {shape} rationals for "
+                    f"({', '.join(profile)})",
+                    "type-mismatch",
+                )
+        if not entries:
+            _err(
+                diags, close_tok, "vector outcomes need at least one table entry", "arity"
+            )
+        if failed():
+            return finish()
+        levels = {v for _, value, _ in entries for v in value}
+        outcomes = VectorOutcomes(shape, tuple(sorted(levels)))
 
     # Game is the validator; its problems are only located here
     if kind == "majority":
@@ -753,19 +600,19 @@ def parse_game(src) -> ParseResult:
     elif kind == "identity":
         fn = identity_rule()
     else:
-        fn = outcome_table(tuple((profile, value[1]) for profile, value, _ in raw_entries))
-    game_players = tuple(
-        Player(n, moves_by_name[n][0], players[n][0]) for n in moves_order
+        fn = outcome_table(tuple((profile, value) for profile, value, _ in entries))
+    players = tuple(
+        Player(n, ms, decl["player", n][1]) for n, ms in zip(names, move_sets)
     )
     try:
-        game = Game(game_name, game_players, outcomes, fn)
+        game = Game(decl["game",][1], players, outcomes, fn)
     except (HogError, ValueError):
         anchors = {("game", None): fn_tok, ("table", None): close_tok}
-        for i, n in enumerate(moves_order):
-            anchors["player", i] = players[n][1]
-        for k, (_, _, head) in enumerate(raw_entries or ()):
+        for i, n in enumerate(names):
+            anchors["player", i] = decl["player", n][0]
+        for k, (_, _, head) in enumerate(entries):
             anchors["entry", k] = head
-        for problem in game_problems(game_players, outcomes, fn):
+        for problem in game_problems(players, outcomes, fn):
             _err(diags, anchors[problem.where], problem.message, problem.code)
         return finish()
 
@@ -776,11 +623,15 @@ def parse_game(src) -> ParseResult:
             reachable = {label for ms in move_sets for label in ms}
         unreachable = [a for a in outcomes.labels if a not in reachable]
         if unreachable:
-            _warn(
-                diags,
-                outcomes_tok,
-                "outcome value(s) never produced by the outcome function: "
-                + ", ".join(unreachable),
+            diags.append(
+                ParseDiagnostic(
+                    "warning",
+                    "outcome value(s) never produced by the outcome function: "
+                    + ", ".join(unreachable),
+                    outcomes_tok.line,
+                    outcomes_tok.column,
+                    "unreachable-outcome",
+                )
             )
     return finish(game)
 
@@ -799,33 +650,6 @@ def _require_ident(text: str, what: str) -> str:
     if not isinstance(text, str) or _IDENT_RE.fullmatch(text) is None:
         raise RenderError(f"{what} {text!r} cannot be written in the text format")
     return text
-
-
-def _render_selexpr(sel: SelectionFunction) -> str:
-    if isinstance(sel, ArgmaxOrder):
-        # ranking is best-first; the text lists values ascending
-        values = tuple(reversed(sel.order.ranking))
-        return "argmax(order: %s)" % " < ".join(
-            _require_ident(v, "outcome value") for v in values
-        )
-    if isinstance(sel, ArgmaxCoord):
-        return f"argmax(coord: {sel.coord})"
-    if isinstance(sel, Fix):
-        return "fix"
-    if isinstance(sel, NonFix):
-        return "nonfix"
-    if isinstance(sel, FixProj):
-        return f"fix(coord: {sel.coord})"
-    if isinstance(sel, NonFixProj):
-        return f"nonfix(coord: {sel.coord})"
-    if isinstance(sel, Coord):
-        return "coord"
-    if isinstance(sel, TargetCoord):
-        value = _require_ident(sel.value, "target value")
-        return f"target(coord: {sel.coord}, value: {value})"
-    if isinstance(sel, Lex):
-        return f"lex({_render_selexpr(sel.primary)}, {_render_selexpr(sel.secondary)})"
-    raise RenderError(f"{type(sel).__name__} has no textual form")
 
 
 def _render_value(value) -> str:

@@ -248,6 +248,14 @@ def test_overly_nested_goal_is_a_located_parse_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.hog"
+    path.write_bytes(b"game g\xff\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: could not read {path}: ")
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/nowhere.hog")
     assert code == 2 and err != ""

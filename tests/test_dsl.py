@@ -1,9 +1,14 @@
 """Parsing, validation diagnostics, and rendering of the text format."""
 
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from hog import (
     ArgmaxOrder,
@@ -23,14 +28,18 @@ from hog import (
     VectorOutcomes,
     builtin,
     builtin_names,
+    classical_game,
     enumerate_equilibria,
     identity_rule,
     majority_rule,
     outcome_table,
     parse_game,
+    payoff_matrix,
+    payoff_matrix_names,
     render_game,
     tabulate,
 )
+from hog.cli import main
 from hog.dsl import MAX_SELECTION_DEPTH
 from test_engine import _majority_games
 
@@ -233,6 +242,35 @@ def test_diagnostics_come_out_sorted_and_parsing_recovers():
     assert positions == sorted(positions)
 
 
+def test_a_broken_moves_line_reports_only_its_own_errors():
+    text = (
+        "game g\n"
+        "moves P1 = { A, A }\n"
+        "moves P2 = { B, }\n"
+        "outcomes = { A, B }\n"
+        "outcome_fn = majority\n"
+        "player P1 = fix\n"
+        "player P2 = fix\n"
+    )
+    assert [str(d) for d in parse_game(text).diagnostics] == [
+        "2:17: error: duplicate move label 'A'",
+        "3:17: error: expected a move label",
+    ]
+
+
+def test_a_broken_statement_still_counts_as_declared():
+    body = (
+        "moves P1 = { A, B }\noutcomes = { A, B }\noutcome_fn = majority\n"
+        "player P1 = fix\n"
+    )
+    result = parse_game("game g extra\n" + body)
+    assert [str(d) for d in result.diagnostics] == [
+        "1:8: error: unexpected 'extra' after the end of the statement"
+    ]
+    broken = ("game g\n" + body).replace("outcomes = { A, B }", "outcomes = { A B }")
+    assert errors(parse_game(broken)) == [("syntax", 3, "expected ',' or '}'")]
+
+
 # ---------------------------------------------------------------------------
 # outcome function validation
 # ---------------------------------------------------------------------------
@@ -325,6 +363,27 @@ player P2 = argmax(coord: 2)
         and d.line == 6
         for d in result.errors()
     )
+
+
+def test_an_empty_vector_table_is_a_located_error():
+    text = (
+        "game g\nmoves P1 = { A }\noutcomes = vectors 1\n"
+        "outcome_fn = table {\n}\nplayer P1 = argmax(coord: 1)\n"
+    )
+    result = parse_game(text)
+    assert [(d.code, d.line, d.column) for d in result.errors()] == [("arity", 5, 1)]
+
+
+@pytest.mark.parametrize("number", ["1/0", "0/0", "-3/00"])
+def test_a_zero_denominator_is_a_located_error(number):
+    text = (
+        "game g\nmoves P1 = { A }\noutcomes = vectors 1\n"
+        f"outcome_fn = table {{ (A) -> ({number}) }}\nplayer P1 = argmax(coord: 1)\n"
+    )
+    result = parse_game(text)
+    assert [(d.line, d.column, d.message) for d in result.errors()] == [
+        (4, 30, f"{number} has a zero denominator")
+    ]
 
 
 def test_mixed_outcome_values_are_rejected():
@@ -588,3 +647,78 @@ def test_game_and_parser_reject_alike(text, parts, line, message):
     result = parse_game(text)
     assert [(d.line, d.message) for d in result.errors()] == [(line, message)]
     assert "syntax" not in {d.code for d in result.errors()}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: bad input is always a diagnostic, never an exception
+# ---------------------------------------------------------------------------
+
+_WORDS = (
+    "game moves outcomes outcome_fn player g P1 P2 A B C majority identity "
+    "table vectors product fix nonfix coord argmax target lex order value "
+    "1 2 0 -1 1/2 1/0 0/0 { } ( ) , ; : = < -> @"
+).split() + ["\n", "# note\n"]
+_LINES = [
+    "game g\n", "moves P1 = { A, B }\n", "moves P2 = { A, B }\n",
+    "outcomes = { A, B }\n", "outcomes = moves\n", "outcomes = vectors 2\n",
+    "outcome_fn = majority\n", "outcome_fn = identity\n",
+    "outcome_fn = table { (A, A) -> (1, 0) ; (A, B) -> (0, 1) ; "
+    "(B, A) -> (1/2, 1) ; (B, B) -> (1, -1) }\n",
+    "player P1 = fix\n", "player P2 = argmax(coord: 2)\n",
+    "player P2 = lex(target(coord: 1, value: A), fix)\n",
+]
+_TOKEN = re.compile(r"#[^\n]*|\n|->|-?\d+(?:/\d+)?|[A-Za-z_][\w-]*|\S")
+
+_from_the_grammar = st.lists(st.sampled_from(_WORDS + _LINES), max_size=40).map(" ".join)
+
+
+_RENDERED = [render_game(builtin(n)).text for n in builtin_names()] + [
+    render_game(classical_game(payoff_matrix(n))).text for n in payoff_matrix_names()
+]
+
+
+@st.composite
+def _edited_builtins(draw):
+    tokens = _TOKEN.findall(draw(st.sampled_from(_RENDERED)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "replace", "swap"]))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif edit == "replace":
+            tokens[i] = draw(st.sampled_from(_WORDS))
+        elif i + 1 < len(tokens):
+            tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    return " ".join(tokens)
+
+
+_documents = st.one_of(_from_the_grammar, _edited_builtins())
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_documents)
+def test_parse_game_never_raises_and_reports_consistently(text):
+    result = parse_game(text)
+    assert result.ok == (not result.errors())
+    positions = [(d.line, d.column) for d in result.diagnostics]
+    assert positions == sorted(positions)
+    assert all(1 <= d.line <= text.count("\n") + 1 for d in result.diagnostics)
+    if result.ok:
+        try:
+            again = render_game(result.game)
+        except RenderError:
+            return
+        assert parse_game(again).game == result.game
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_documents)
+def test_the_cli_maps_any_document_to_exit_0_2_or_3(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.hog"
+        path.write_text(text)
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+            code = main(["solve", str(path), "--max-profiles", "1000"])
+    assert code in (0, 2, 3), err.getvalue()
