@@ -9,6 +9,12 @@ evaluation returns tuples in a canonical order, and the law checks
 
 Canonical ordering: moves are reported in the order the move set declares
 them; outcomes are reported in the order the outcome space enumerates them.
+
+Goals read a context by position: they walk `p.table` alongside
+`p.domain.labels` and never look a move up by label.  Only code that maps
+chosen moves back to their outcomes calls the context on a move.  Every
+label-to-position lookup (`MoveSet.index`, `rank`,
+`PreferenceOrder.position`) goes through a dict built on first use.
 """
 
 from __future__ import annotations
@@ -53,8 +59,16 @@ class MoveSet:
     def __contains__(self, label):
         return label in self.labels
 
+    @cached_property
+    def _position(self) -> dict:
+        return {x: i for i, x in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self._position[label]
+        except (KeyError, TypeError):
+            # a label that is not a move: raise what tuple.index raises
+            return self.labels.index(label)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +107,16 @@ class AtomOutcomes:
     def all_outcomes(self) -> tuple[str, ...]:
         return self.labels
 
+    @cached_property
+    def _position(self) -> dict:
+        return {v: i for i, v in enumerate(self.labels)}
+
     def rank(self, value) -> int:
-        return self.labels.index(value)
+        try:
+            return self._position[value]
+        except (KeyError, TypeError):
+            # a value outside the space: raise what tuple.index raises
+            return self.labels.index(value)
 
     def __contains__(self, value):
         return isinstance(value, str) and value in self.labels
@@ -308,11 +330,15 @@ class PreferenceOrder:
         if not self.ranking:
             raise ValueError("preference order must rank at least one value")
 
+    @cached_property
+    def _position(self) -> dict:
+        return {v: i for i, v in enumerate(self.ranking)}
+
     def position(self, value) -> int:
         """Rank of a value, 0 = best.  Unranked values are an error."""
         try:
-            return self.ranking.index(value)
-        except ValueError:
+            return self._position[value]
+        except (KeyError, TypeError):
             raise IncompleteOrderError(f"order does not rank {value!r}") from None
 
 
@@ -343,7 +369,8 @@ class Quantifier:
 
 
 def _moves_where(p: GameContext, pred) -> tuple:
-    return tuple(x for x in p.domain if pred(x))
+    """Moves, in domain order, whose (move, value) pair satisfies pred."""
+    return tuple(x for x, v in zip(p.domain.labels, p.table) if pred(x, v))
 
 
 def _with_fallback(p: GameContext, chosen: tuple) -> tuple:
@@ -395,9 +422,9 @@ class ArgmaxOrder(SelectionFunction):
     order: PreferenceOrder
 
     def __call__(self, p: GameContext) -> tuple:
-        pos = {x: self.order.position(p(x)) for x in p.domain}
-        best = min(pos.values())
-        return _moves_where(p, lambda x: pos[x] == best)
+        ranks = [self.order.position(v) for v in p.table]
+        best = min(ranks)
+        return tuple(x for x, r in zip(p.domain.labels, ranks) if r == best)
 
 
 @dataclass(frozen=True)
@@ -408,9 +435,9 @@ class ArgmaxCoord(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_vector_coord(p.codomain, self.coord)
-        vals = {x: p(x)[self.coord - 1] for x in p.domain}
-        best = max(vals.values())
-        return _moves_where(p, lambda x: vals[x] == best)
+        i = self.coord - 1
+        best = max(v[i] for v in p.table)
+        return _moves_where(p, lambda x, v: v[i] == best)
 
 
 @dataclass(frozen=True)
@@ -419,7 +446,7 @@ class Fix(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_atoms_match(p.domain, p.codomain)
-        return _with_fallback(p, _moves_where(p, lambda x: p(x) == x))
+        return _with_fallback(p, _moves_where(p, lambda x, v: v == x))
 
 
 @dataclass(frozen=True)
@@ -428,7 +455,7 @@ class NonFix(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_atoms_match(p.domain, p.codomain)
-        return _with_fallback(p, _moves_where(p, lambda x: p(x) != x))
+        return _with_fallback(p, _moves_where(p, lambda x, v: v != x))
 
 
 @dataclass(frozen=True)
@@ -440,7 +467,7 @@ class FixProj(SelectionFunction):
     def __call__(self, p: GameContext) -> tuple:
         _check_product(p.codomain, self.coord)
         i = self.coord - 1
-        return _with_fallback(p, _moves_where(p, lambda x: p(x)[i] == x))
+        return _with_fallback(p, _moves_where(p, lambda x, v: v[i] == x))
 
 
 @dataclass(frozen=True)
@@ -452,7 +479,7 @@ class NonFixProj(SelectionFunction):
     def __call__(self, p: GameContext) -> tuple:
         _check_product(p.codomain, self.coord)
         i = self.coord - 1
-        return _with_fallback(p, _moves_where(p, lambda x: p(x)[i] != x))
+        return _with_fallback(p, _moves_where(p, lambda x, v: v[i] != x))
 
 
 @dataclass(frozen=True)
@@ -461,9 +488,7 @@ class Coord(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_coord(p.codomain)
-        return _with_fallback(
-            p, _moves_where(p, lambda x: len(set(p(x))) == 1)
-        )
+        return _with_fallback(p, _moves_where(p, lambda x, v: len(set(v)) == 1))
 
 
 @dataclass(frozen=True)
@@ -481,7 +506,7 @@ class TargetCoord(SelectionFunction):
     def __call__(self, p: GameContext) -> tuple:
         _check_product(p.codomain, self.coord)
         i = self.coord - 1
-        return _moves_where(p, lambda x: p(x)[i] == self.value)
+        return _moves_where(p, lambda x, v: v[i] == self.value)
 
 
 @dataclass(frozen=True)
@@ -542,7 +567,7 @@ class Preimage(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         good = set(self.quantifier(p))
-        return _moves_where(p, lambda x: p(x) in good)
+        return _moves_where(p, lambda x, v: v in good)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +614,7 @@ class FixQuantifier(Quantifier):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_atoms_match(p.domain, p.codomain)
-        fixed = [p(x) for x in p.domain if p(x) == x]
+        fixed = [v for x, v in zip(p.domain.labels, p.table) if v == x]
         if fixed:
             return _ordered_values(p.codomain, fixed)
         return p.image()
@@ -744,8 +769,9 @@ def is_closed(
         chosen = e(p)
         chosen_set = set(chosen)
         for x in chosen:
-            for y in p.domain:
-                if y not in chosen_set and p(y) == p(x):
+            v = p(x)
+            for y, w in zip(p.domain.labels, p.table):
+                if y not in chosen_set and w == v:
                     return CheckResult(False, ClosednessWitness(p, x, y))
     return CheckResult(True)
 

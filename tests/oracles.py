@@ -149,6 +149,19 @@ def attains_brute(domain, codomain, selection, quantifier):
     return None
 
 
+def closed_brute(domain, codomain, selection):
+    """First (context, picked, excluded) where a picked move shares its
+    outcome with a move left out, in product order, else None."""
+    for values in product(codomain, repeat=len(domain)):
+        p = dict(zip(domain, values))
+        chosen = selection(p)
+        for x in sorted(chosen, key=domain.index):
+            for y in domain:
+                if y not in chosen and p[y] == p[x]:
+                    return p, x, y
+    return None
+
+
 def fixq_quant(p):
     """Fixpoint outcomes, falling back to the context image."""
     fps = {x for x in p if p[x] == x}

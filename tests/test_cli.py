@@ -9,7 +9,21 @@ from pathlib import Path
 
 import pytest
 
+import hog.cli
+from hog import (
+    ArgmaxOrder,
+    AtomOutcomes,
+    Fix,
+    Game,
+    MoveSet,
+    Player,
+    PreferenceOrder,
+    enumerate_contexts,
+    is_closed,
+    majority_rule,
+)
 from hog.cli import main
+from test_engine import _Counted
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -185,6 +199,28 @@ def test_analyze_json(capsys):
         "excluded_move": "B",
     }
     assert all(row["attains_lift"] for row in doc["players"])
+
+
+def test_analyze_sweeps_each_goal_once_and_stops_at_the_witness(capsys, monkeypatch):
+    abc = MoveSet(("A", "B", "C"))
+    atoms = AtomOutcomes(("A", "B", "C"))
+    closed_goal = _Counted(ArgmaxOrder(PreferenceOrder(("B", "C", "A"))))
+    open_goal = _Counted(Fix())
+    game = Game(
+        "counted",
+        (Player("P1", abc, closed_goal), Player("P2", abc, open_goal)),
+        atoms,
+        majority_rule(),
+    )
+    monkeypatch.setattr(hog.cli, "builtin", lambda name: game)
+    code, out, err = run(capsys, "analyze", "--builtin", "counted")
+    assert code == 0 and err == ""
+    assert len(closed_goal.seen) == len(atoms.labels) ** len(abc)
+    assert out.splitlines()[2].split()[:2] == ["P2", "no"]
+    witness = is_closed(Fix(), abc, atoms).witness
+    contexts = list(enumerate_contexts(abc, atoms))
+    first = contexts.index(witness.context) + 1
+    assert 0 < len(open_goal.seen) <= first < len(contexts)
 
 
 def test_list_mentions_every_builtin(capsys):

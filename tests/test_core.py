@@ -46,6 +46,7 @@ from hog import (
     projection,
     tabulate,
 )
+from test_laws import SELECTIONS
 
 AB = MoveSet(("A", "B"))
 ABC = MoveSet(("A", "B", "C"))
@@ -90,6 +91,48 @@ def test_context_call_and_table_alignment():
     p = GameContext(AB, ATOMS_AB, ("B", "A"))
     assert p("A") == "B" and p("B") == "A"
     assert p.as_dict() == {"A": "B", "B": "A"}
+
+
+def _raised(call):
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+def test_direct_calls_keep_their_error_contracts():
+    # what each lookup raises without a Game in front to validate first
+    p = GameContext(AB, ATOMS_AB, ("A", "B"))
+    not_in_tuple = _raised(lambda: ("A", "B").index("Z"))
+    assert not_in_tuple[0] is ValueError
+    assert _raised(lambda: p("Z")) == not_in_tuple
+    assert _raised(lambda: AB.index("Z")) == not_in_tuple
+    assert _raised(lambda: AB.index(["A"])) == not_in_tuple
+    assert _raised(lambda: ATOMS_AB.rank("Z")) == not_in_tuple
+    unranked = (IncompleteOrderError, "order does not rank 'B'")
+    only_a = PreferenceOrder(("A",))
+    assert _raised(lambda: ArgmaxOrder(only_a)(p)) == unranked
+    assert _raised(lambda: MaxOrder(only_a)(p)) == unranked
+    assert _raised(lambda: only_a.position(["A"])) == (
+        IncompleteOrderError, "order does not rank ['A']"
+    )
+    vec = GameContext(MoveSet(("a", "b")), VectorOutcomes(2, (0, 1)), ((1, 0), (0, 1)))
+    pair = GameContext(EG, PROD_EG, (("E", "G"), ("G", "G")))
+    assert _raised(lambda: ArgmaxCoord(1)(p)) == (
+        TypeMismatchError, "argmax over a coordinate needs vector outcomes"
+    )
+    assert _raised(lambda: ArgmaxCoord(3)(vec)) == (
+        CoordinateOutOfRangeError, "coordinate 3 out of range 1..2"
+    )
+    assert _raised(lambda: Fix()(pair)) == (
+        TypeMismatchError,
+        "fixpoint selection needs atom outcomes matching the moves exactly",
+    )
+    assert _raised(lambda: FixProj(1)(p)) == (
+        TypeMismatchError, "coordinate selection needs a product outcome space"
+    )
+    assert _raised(lambda: FixProj(3)(pair)) == (
+        CoordinateOutOfRangeError, "coordinate 3 out of range 1..2"
+    )
 
 
 def test_move_set_invariants():
@@ -410,8 +453,12 @@ def test_law_checks_respect_budget():
 
 
 def test_attainment_by_construction():
+    # `hog analyze` reports AttainsLift without a sweep because of this law,
+    # so it is checked on every goal form of the law battery
     for e in (Fix(), NonFix(), ArgmaxOrder(PREFER_B), Lex(NonFix(), Fix())):
         assert attains(e, lift_selection(e), AB, ATOMS_AB).holds
+    for domain, codomain, e in SELECTIONS:
+        assert attains(e, lift_selection(e), domain, codomain).holds
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,8 @@ def _hog_goal(spec):
     if kind == "order":
         return ArgmaxOrder(PreferenceOrder(args[0]))
     ctor = {"fix": Fix, "nonfix": NonFix, "fixproj": FixProj,
-            "nonfixproj": NonFixProj, "coord": Coord, "target": TargetCoord}
+            "nonfixproj": NonFixProj, "coord": Coord, "target": TargetCoord,
+            "argmaxcoord": ArgmaxCoord}
     return ctor[kind](*args)
 
 
@@ -255,7 +256,8 @@ def _oracle_goal(spec):
         return argmax_order_sel(args[0])
     ctor = {"fix": lambda: fix_sel, "nonfix": lambda: nonfix_sel,
             "fixproj": fixproj_sel, "nonfixproj": nonfixproj_sel,
-            "coord": lambda: coord_sel, "target": target_sel}
+            "coord": lambda: coord_sel, "target": target_sel,
+            "argmaxcoord": argmax_coord_sel}
     return ctor[kind](*args)
 
 

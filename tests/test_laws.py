@@ -6,13 +6,16 @@ that space, so a pass here is a proof for those spaces, not a sample.
 Hypothesis adds randomized lexicographic combinations on top.
 """
 
+from itertools import permutations, product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hog import (
     ArgmaxCoord,
     ArgmaxOrder,
     AtomOutcomes,
+    ClosednessWitness,
     Coord,
     Fix,
     FixProj,
@@ -29,6 +32,7 @@ from hog import (
     ProductOutcomes,
     TargetCoord,
     VectorOutcomes,
+    attains,
     closure_of,
     enumerate_contexts,
     is_closed,
@@ -36,6 +40,8 @@ from hog import (
     lift_selection,
     tabulate,
 )
+from oracles import attains_brute, closed_brute
+from test_engine import _goals, _hog_goal, _oracle_goal
 
 AB = MoveSet(("A", "B"))
 ABC = MoveSet(("A", "B", "C"))
@@ -201,3 +207,76 @@ def test_random_pair_goals_obey_the_laws(e, p):
 @given(p=_atom_contexts)
 def test_lift_of_fix_equals_fix_quantifier(p):
     assert lift_selection(Fix())(p) == FixQuantifier()(p)
+
+
+# ---------------------------------------------------------------------------
+# the law checks against brute-force oracles
+# ---------------------------------------------------------------------------
+# Goals are drawn as specs and built twice, from hog's constructors and from
+# the oracle's closures over dicts; the oracle sweeps the same values in the
+# same order, so the first witness must be the same context and moves.
+
+
+@st.composite
+def _law_cases(draw):
+    """(moves, space, the space's values in enumeration order, two goal specs)."""
+    kind = draw(st.sampled_from(["atoms", "product", "vectors"]))
+    extra = None
+    if kind == "atoms":
+        values = draw(st.sampled_from([("A",), ("A", "B"), ("A", "B", "C")]))
+        moves = MoveSet(draw(st.permutations(values)))
+        space = AtomOutcomes(values)
+        leaves = [("fix",), ("nonfix",)] + [("order", o) for o in permutations(values)]
+    elif kind == "product":
+        moves = MoveSet(("E", "G", "H")[: draw(st.integers(1, 3))])
+        pick = st.sampled_from([("E",), ("E", "G"), ("G", "H")])
+        coords = [MoveSet(draw(pick)) for _ in range(draw(st.integers(1, 2)))]
+        space = ProductOutcomes(coords)
+        values = tuple(product(*(c.labels for c in coords)))
+        n = len(coords)
+        leaves = [(k, j) for k in ("fixproj", "nonfixproj") for j in range(1, n + 1)]
+        if n == 2:
+            leaves.append(("coord",))
+        extra = [("target", j, x) for j, c in enumerate(coords, start=1) for x in c]
+    else:
+        moves = MoveSet(("a", "b", "c")[: draw(st.integers(1, 3))])
+        dim = draw(st.integers(1, 2))
+        levels = (0, 1, 2) if dim == 1 else (0, 1)
+        space = VectorOutcomes(dim, levels)
+        values = tuple(product(levels, repeat=dim))
+        leaves = [("argmaxcoord", j) for j in range(1, dim + 1)]
+        leaves.append(("order", tuple(draw(st.permutations(values)))))
+    goals = _goals(leaves, extra)
+    return moves, space, values, draw(goals), draw(goals)
+
+
+def _digest(result):
+    w = result.witness
+    if w is None:
+        return result.holds, None
+    if isinstance(w, ClosednessWitness):
+        return result.holds, (w.context.table, w.good_move, w.excluded_move)
+    return result.holds, (w.context.table, w.move)
+
+
+def _oracle_digest(domain, found):
+    if found is None:
+        return True, None
+    p, *moves = found
+    return False, (tuple(p[x] for x in domain), *moves)
+
+
+@settings(deadline=None)
+@given(case=_law_cases())
+def test_law_checks_agree_with_the_oracles_witness_for_witness(case):
+    moves, space, values, e_spec, f_spec = case
+    e, e_brute = _hog_goal(e_spec), _oracle_goal(e_spec)
+    f, f_brute = _hog_goal(f_spec), _oracle_goal(f_spec)
+    domain = list(moves)
+    assert _digest(is_closed(e, moves, space)) == _oracle_digest(
+        domain, closed_brute(domain, values, e_brute)
+    )
+    lifted_f = lambda p: {p[x] for x in f_brute(p)}
+    assert _digest(attains(e, Lifted(f), moves, space)) == _oracle_digest(
+        domain, attains_brute(domain, values, e_brute, lifted_f)
+    )
