@@ -276,10 +276,6 @@ class GameContext:
         object.__setattr__(p, "table", table)
         return p
 
-    @classmethod
-    def from_mapping(cls, domain: MoveSet, codomain: OutcomeSpace, mapping) -> "GameContext":
-        return cls(domain, codomain, dict(mapping))
-
     def __call__(self, move: str):
         return self.table[self.domain.index(move)]
 

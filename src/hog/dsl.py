@@ -4,10 +4,11 @@ The format is line-oriented; `#` starts a comment.  A document consists of
 one `game` line, one `moves` line per player (their order fixes player
 order), one `outcomes` line, one `outcome_fn` line, and one `player` line
 per declared move set.  Newlines are soft inside braces and parentheses,
-so outcome tables can span lines.  `parse_game` never returns a partially
-valid game: either every check passes or you get located diagnostics.  A
-statement stops at its first syntax error but still counts as declared, so
-it adds no follow-on "missing" errors.
+so outcome tables can span lines.  The text is read into statements in
+one pass.  `parse_game` never returns a partially valid game: either every
+check passes or you get located diagnostics.  A statement stops at its
+first syntax error but still counts as declared, so it adds no follow-on
+"missing" errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     ArgmaxCoord,
@@ -85,59 +86,30 @@ class ParseResult:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer
 # ---------------------------------------------------------------------------
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
 _IDENT_RE = re.compile(_IDENT)
 
 _TOKEN_RE = re.compile(
-    r"""(?P<COMMENT>\#[^\n]*)
+    r"""[ \t\r]+ | \#[^\n]*
       | (?P<NEWLINE>\n)
-      | (?P<WS>[ \t\r]+)
       | (?P<ARROW>->)
       | (?P<NUMBER>-?\d+(?:/\d+)?)
       | (?P<IDENT>""" + _IDENT + r""")
       | (?P<PUNCT>[{}(),;:=<])
+      | (?P<BAD>.)[^\n]*
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     column: int
-
-
-def _tokenize(text: str, diags: list) -> list[_Token]:
-    tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            diags.append(
-                ParseDiagnostic(
-                    "error", f"unexpected character {text[pos]!r}", line, col
-                )
-            )
-            nl = text.find("\n", pos)
-            pos = len(text) if nl == -1 else nl
-            continue
-        kind = m.lastgroup
-        tok_text = m.group()
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind == "NEWLINE":
-            tokens.append(_Token("NEWLINE", "\n", line, col))
-            line += 1
-            line_start = pos
-        elif kind not in ("COMMENT", "WS"):
-            tokens.append(_Token(kind, tok_text, line, col))
-    return tokens
 
 
 _BRACKETS = {"{": "}", "(": ")"}
@@ -147,34 +119,42 @@ _BRACKETS = {"{": "}", "(": ")"}
 MAX_SELECTION_DEPTH = 100
 
 
-def _split_statements(tokens: list[_Token], diags: list) -> list[list[_Token]]:
-    """Group tokens into statements; newlines only count outside brackets."""
+def _statements(text: str, diags: list) -> list[list[_Token]]:
+    """The token lists of the statements in `text`, read in one pass.
+
+    Whitespace and comments make no token.  A newline ends a statement only
+    outside brackets.  An unexpected character is reported and the rest of
+    its line skipped.
+    """
     stmts: list[list[_Token]] = []
     current: list[_Token] = []
     stack: list[_Token] = []
-    for tok in tokens:
-        if tok.kind == "NEWLINE":
-            if not stack and current:
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "NEWLINE":
+            line += 1
+            line_start = m.end()
+            if current and not stack:
                 stmts.append(current)
                 current = []
             continue
-        if tok.kind == "PUNCT" and tok.text in "{(":
+        tok = _Token(kind, m.group(kind), line, m.start() - line_start + 1)
+        if kind == "BAD":
+            _err(diags, tok, f"unexpected character {tok.text!r}", "syntax")
+            continue
+        if kind == "PUNCT" and tok.text in "{(":
             stack.append(tok)
-        elif tok.kind == "PUNCT" and tok.text in "})":
+        elif kind == "PUNCT" and tok.text in "})":
             if stack and _BRACKETS[stack[-1].text] == tok.text:
                 stack.pop()
             else:
-                diags.append(
-                    ParseDiagnostic(
-                        "error", f"unmatched {tok.text!r}", tok.line, tok.column
-                    )
-                )
+                _err(diags, tok, f"unmatched {tok.text!r}", "syntax")
         current.append(tok)
     if stack:
-        t = stack[-1]
-        diags.append(
-            ParseDiagnostic("error", f"unclosed {t.text!r}", t.line, t.column)
-        )
+        _err(diags, stack[-1], f"unclosed {stack[-1].text!r}", "syntax")
     if current:
         stmts.append(current)
     return stmts
@@ -529,7 +509,7 @@ def parse_game(src) -> ParseResult:
     text = src.text if isinstance(src, GameSource) else src
     diags: list[ParseDiagnostic] = []
     decl: dict = {}
-    for tokens in _split_statements(_tokenize(text, diags), diags):
+    for tokens in _statements(text, diags):
         try:
             _statement(_Cursor(tokens, diags), decl)
         except _Stop:

@@ -71,10 +71,7 @@ class OutcomeFunction:
     def __post_init__(self):
         if self.kind not in ("majority", "identity", "table"):
             raise ValueError(f"unknown outcome function kind {self.kind!r}")
-        ent = self.entries
-        if isinstance(ent, Mapping):
-            ent = tuple(ent.items())
-        ent = tuple((tuple(profile), value) for profile, value in ent)
+        ent = _entries(self.entries)
         if ent and self.kind != "table":
             raise ValueError(f"{self.kind} outcome functions take no entries")
         object.__setattr__(self, "entries", ent)
@@ -95,6 +92,13 @@ class OutcomeFunction:
             return self._table[profile]
         except KeyError:
             raise InvalidProfileError(f"no outcome listed for profile {profile!r}") from None
+
+
+def _entries(ent) -> tuple:
+    """A mapping or (profile, value) pairs, as (tuple(profile), value) pairs."""
+    if isinstance(ent, Mapping):
+        ent = ent.items()
+    return tuple((tuple(profile), value) for profile, value in ent)
 
 
 def majority_rule() -> OutcomeFunction:
@@ -182,37 +186,49 @@ def game_problems(
         if message:
             yield GameProblem(message, ValueError, "type-mismatch", game)
     else:
-        listed = set()
-        for k, (profile, value) in enumerate(fn.entries):
-            if len(profile) != len(move_sets) or any(
-                x not in ms for x, ms in zip(profile, move_sets)
-            ):
-                yield GameProblem(
-                    f"profile {_fmt_profile(profile)} does not match the move sets",
-                    InvalidProfileError, "type-mismatch", ("entry", k),
-                )
-            elif profile in listed:
-                yield GameProblem(
-                    f"profile {_fmt_profile(profile)} listed twice",
-                    ValueError, "duplicate", ("entry", k),
-                )
-            else:
-                listed.add(profile)
-                if value not in outcomes:
-                    yield GameProblem(
-                        f"outcome for {_fmt_profile(profile)} lies outside the outcome space",
-                        ValueError, "type-mismatch", ("entry", k),
-                    )
-        total = math.prod(len(ms) for ms in move_sets)
-        if len(listed) < total:
-            first = next(
-                s for s in cartesian(*(ms.labels for ms in move_sets)) if s not in listed
-            )
+        yield from _table_problems(
+            move_sets, fn.entries,
+            lambda value: None if value in outcomes else "lies outside the outcome space",
+        )
+
+
+def _table_problems(move_sets, entries, value_problem) -> Iterator[GameProblem]:
+    """Every reason `entries` is not a total table over `move_sets`.
+
+    Per entry, in the order given: its profile's shape, a repeat, then what
+    `value_problem(value)` finds wrong (None if nothing).  Then the misses."""
+    listed = set()
+    for k, (profile, value) in enumerate(entries):
+        if len(profile) != len(move_sets) or any(
+            x not in ms for x, ms in zip(profile, move_sets)
+        ):
             yield GameProblem(
-                f"outcome table misses {total - len(listed)} profile(s), "
-                f"e.g. {_fmt_profile(first)}",
-                ValueError, "arity", ("table", None),
+                f"profile {_fmt_profile(profile)} does not match the move sets",
+                InvalidProfileError, "type-mismatch", ("entry", k),
             )
+        elif profile in listed:
+            yield GameProblem(
+                f"profile {_fmt_profile(profile)} listed twice",
+                ValueError, "duplicate", ("entry", k),
+            )
+        else:
+            listed.add(profile)
+            problem = value_problem(value)
+            if problem:
+                yield GameProblem(
+                    f"outcome for {_fmt_profile(profile)} {problem}",
+                    ValueError, "type-mismatch", ("entry", k),
+                )
+    total = math.prod(len(ms) for ms in move_sets)
+    if len(listed) < total:
+        first = next(
+            s for s in cartesian(*(ms.labels for ms in move_sets)) if s not in listed
+        )
+        yield GameProblem(
+            f"outcome table misses {total - len(listed)} profile(s), "
+            f"e.g. {_fmt_profile(first)}",
+            ValueError, "arity", ("table", None),
+        )
 
 
 @dataclass(frozen=True)
@@ -442,30 +458,17 @@ class PayoffMatrix:
             raise ValueError("one move set per player, please")
         if len(set(self.players)) != len(self.players):
             raise ValueError(f"duplicate player names in {self.players!r}")
-        ent = self.entries
-        if isinstance(ent, Mapping):
-            ent = tuple(ent.items())
         n = len(self.players)
-        norm = []
-        seen = set()
-        for profile, payoffs in ent:
-            profile = tuple(profile)
-            payoffs = tuple(Fraction(v) for v in payoffs)
-            if len(profile) != n or any(
-                x not in m for x, m in zip(profile, self.move_sets)
-            ):
-                raise InvalidProfileError(f"bad profile {profile!r}")
-            if len(payoffs) != n:
-                raise ValueError(
-                    f"{profile!r}: {len(payoffs)} payoffs for {n} players"
-                )
-            if profile in seen:
-                raise ValueError(f"profile {profile!r} listed twice")
-            seen.add(profile)
-            norm.append((profile, payoffs))
-        if len(seen) != math.prod(len(m) for m in self.move_sets):
-            raise ValueError("payoff matrix does not cover every profile")
-        object.__setattr__(self, "entries", tuple(norm))
+        ent = tuple(
+            (profile, tuple(Fraction(v) for v in payoffs))
+            for profile, payoffs in _entries(self.entries)
+        )
+        for problem in _table_problems(
+            self.move_sets, ent,
+            lambda payoffs: None if len(payoffs) == n else f"needs {n} payoffs",
+        ):
+            raise problem.error(problem.message)
+        object.__setattr__(self, "entries", ent)
 
     @cached_property
     def _table(self) -> dict:

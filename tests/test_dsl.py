@@ -271,6 +271,99 @@ def test_a_broken_statement_still_counts_as_declared():
     assert errors(parse_game(broken)) == [("syntax", 3, "expected ',' or '}'")]
 
 
+TABLE_GAME = """\
+game g
+moves P1 = { A, B }
+moves P2 = { A, B }
+outcomes = moves
+outcome_fn = table {
+  (A, A) -> (A, A) ;
+  (A, B) -> (A, B) ;
+  (B, A) -> (B, A) ;
+  (B, B) -> (B, B)
+}
+player P1 = coord
+player P2 = coord
+"""
+
+LEXER_CASES = {
+    # the rest of the line is skipped, brackets included; the next line parses
+    "at-mid-line": (
+        ("game g\n", "game g @ ) {\n"),
+        [("1:8: error: unexpected character '@'", "syntax")],
+    ),
+    # skipping the rest of the line leaves the entry's '(' open
+    "dollar-in-entry": (
+        ("(A, B) -> (A, B) ;", "(A, B) -> (A, $B) ;"),
+        [
+            ("2:1: error: no player declaration for P1", "missing"),
+            ("3:1: error: no player declaration for P2", "missing"),
+            ("7:13: error: unclosed '('", "syntax"),
+            ("7:17: error: unexpected character '$'", "syntax"),
+            ("8:3: error: expected a label or a rational number", "syntax"),
+            ("10:1: error: unmatched '}'", "syntax"),
+            ("11:1: error: unexpected 'player' after the end of the statement", "syntax"),
+        ],
+    ),
+    "stray-paren": (
+        ("player P1 = coord\n", "player P1 = coord )\n"),
+        [
+            ("11:19: error: unmatched ')'", "syntax"),
+            ("11:19: error: unexpected ')' after the end of the statement", "syntax"),
+        ],
+    ),
+    "stray-brace": (
+        ("outcomes = moves\n", "outcomes = } moves\n"),
+        [
+            ("4:12: error: unmatched '}'", "syntax"),
+            ("4:12: error: expected 'moves', 'vectors <n>', or '{ ... }'", "syntax"),
+        ],
+    ),
+    # the innermost of the open '{' and '(' is the one reported
+    "unclosed-across-lines": (
+        ("(B, B) -> (B, B)\n}\n", "(B, B) -> (B,\n"),
+        [
+            ("2:1: error: no player declaration for P1", "missing"),
+            ("3:1: error: no player declaration for P2", "missing"),
+            ("9:13: error: unclosed '('", "syntax"),
+            ("10:8: error: expected ',' or ')'", "syntax"),
+        ],
+    ),
+    "unclosed-brace": (
+        ("moves P2 = { A, B }\n", "moves P2 = { A,\n"),
+        [
+            ("1:1: error: missing outcomes declaration", "missing"),
+            ("1:1: error: missing outcome_fn declaration", "missing"),
+            ("2:1: error: no player declaration for P1", "missing"),
+            ("3:12: error: unclosed '{'", "syntax"),
+            ("4:10: error: expected ',' or '}'", "syntax"),
+        ],
+    ),
+    "crlf": (
+        ("moves P2 = { A, B }", "moves P2 = { A, A }"),
+        [("3:17: error: duplicate move label 'A'", "duplicate")],
+    ),
+    "comment-in-table": (("(A, A) -> (A, A) ;", "(A, A) -> (A, A) ;  # both say A"), []),
+    # a tab is one column
+    "tab": (
+        ("moves P1 = { A, B }", "moves P1 =\t{ A,\tA }"),
+        [("2:17: error: duplicate move label 'A'", "duplicate")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LEXER_CASES)
+def test_lexer_diagnostics_are_located(case):
+    (old, new), expected = LEXER_CASES[case]
+    assert old in TABLE_GAME
+    text = TABLE_GAME.replace(old, new)
+    if case == "crlf":
+        text = text.replace("\n", "\r\n")
+    result = parse_game(text)
+    assert [(str(d), d.code) for d in result.diagnostics] == expected
+    assert result.ok == (not expected)
+
+
 # ---------------------------------------------------------------------------
 # outcome function validation
 # ---------------------------------------------------------------------------
@@ -656,8 +749,8 @@ def test_game_and_parser_reject_alike(text, parts, line, message):
 _WORDS = (
     "game moves outcomes outcome_fn player g P1 P2 A B C majority identity "
     "table vectors product fix nonfix coord argmax target lex order value "
-    "1 2 0 -1 1/2 1/0 0/0 { } ( ) , ; : = < -> @"
-).split() + ["\n", "# note\n"]
+    "1 2 0 -1 1/2 1/0 0/0 { } ( ) , ; : = < -> @ $ -"
+).split() + ["\n", "# note\n", "\r", "\t"]
 _LINES = [
     "game g\n", "moves P1 = { A, B }\n", "moves P2 = { A, B }\n",
     "outcomes = { A, B }\n", "outcomes = moves\n", "outcomes = vectors 2\n",
@@ -704,7 +797,9 @@ def test_parse_game_never_raises_and_reports_consistently(text):
     assert result.ok == (not result.errors())
     positions = [(d.line, d.column) for d in result.diagnostics]
     assert positions == sorted(positions)
-    assert all(1 <= d.line <= text.count("\n") + 1 for d in result.diagnostics)
+    lines = text.split("\n")
+    assert all(1 <= d.line <= len(lines) for d in result.diagnostics)
+    assert all(1 <= d.column <= len(lines[d.line - 1]) + 1 for d in result.diagnostics)
     if result.ok:
         try:
             again = render_game(result.game)

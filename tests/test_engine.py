@@ -528,8 +528,44 @@ def test_payoff_matrix_values_are_exact():
 
 
 def test_payoff_matrix_rejects_partial_tables():
-    with pytest.raises(ValueError, match="cover"):
+    with pytest.raises(ValueError, match=r"misses 1 profile\(s\), e\.g\. \(b\)"):
         PayoffMatrix("bad", ("P1",), (("a", "b"),), [(("a",), (0,))])
+
+
+_MATRIX_MOVES = (("a", "b"), ("x", "y"))
+_FULL_MATRIX = [(profile, (0, 1)) for profile in product(*_MATRIX_MOVES)]
+
+MATRIX_FAULTS = {
+    "wrong-length": _FULL_MATRIX + [(("a",), (1, 0))],
+    "unknown-move": _FULL_MATRIX[:1] + [(("a", "z"), (1, 0))] + _FULL_MATRIX[1:],
+    "repeated": _FULL_MATRIX + [(("b", "x"), (1, 1))],
+    "missing": _FULL_MATRIX[:-1],
+}
+
+
+@pytest.mark.parametrize("fault", MATRIX_FAULTS)
+def test_payoff_matrix_and_game_reject_table_faults_alike(fault):
+    entries = MATRIX_FAULTS[fault]
+    with pytest.raises(Exception) as by_matrix:
+        PayoffMatrix("m", ("P1", "P2"), _MATRIX_MOVES, entries)
+    players = tuple(
+        Player(f"P{i}", MoveSet(ms), ArgmaxCoord(i))
+        for i, ms in enumerate(_MATRIX_MOVES, start=1)
+    )
+    outcomes = VectorOutcomes(2, (Fraction(0), Fraction(1)))
+    table = outcome_table([(p, tuple(map(Fraction, pay))) for p, pay in entries])
+    with pytest.raises(Exception) as by_game:
+        Game("m", players, outcomes, table)
+    assert type(by_matrix.value) is type(by_game.value)
+    assert str(by_matrix.value) == str(by_game.value)
+
+
+def test_payoff_matrix_needs_one_payoff_per_player():
+    entries = [(p, (0, 1, 1) if p == ("b", "x") else pay) for p, pay in _FULL_MATRIX]
+    with pytest.raises(ValueError) as raised:
+        PayoffMatrix("m", ("P1", "P2"), _MATRIX_MOVES, entries)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "outcome for (b, x) needs 2 payoffs"
 
 
 @pytest.mark.parametrize("name", payoff_matrix_names())
