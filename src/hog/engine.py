@@ -8,10 +8,13 @@ and ask their selection function, or its lift, whether the profile stands.
 
 Profiles that differ only in player i's move form a deviation line, and
 every profile on it hands player i the same context.  The sweep therefore
-tabulates the outcome function once per profile, reads each line's context
-straight out of that table, runs the player's goal once per distinct
-context, and copies both verdicts to every profile on the line.  A single
-profile is judged by walking just the n lines through it.
+tabulates the outcome function once per profile, interns the outcomes to
+dense int ids (equal outcomes, one id), reads each line's ids straight out
+of that table, runs the player's goal once per distinct line of ids, and
+copies both verdicts to every profile on the line.  Memo keys and verdicts
+compare ids, so no outcome is hashed after interning; goals still see the
+real values.  A single profile is judged by walking just the n lines
+through it.
 
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
@@ -327,15 +330,27 @@ class EquilibriumReport:
         return tuple(r.profile for r in self.rows if r.selection_eq)
 
     def row(self, profile) -> ProfileResult:
+        """The row of `profile`, found by its mixed-radix index (last player
+        fastest), the order `enumerate_equilibria` lists rows in."""
         profile = tuple(profile)
-        for r in self.rows:
-            if r.profile == profile:
-                return r
-        raise InvalidProfileError(f"no row for profile {profile!r}")
+        k = 0
+        try:
+            # strict: a profile of the wrong length is a ValueError too
+            for x, p in zip(profile, self.game.players, strict=True):
+                k = k * len(p.moves) + p.moves.index(x)
+        except ValueError:
+            raise InvalidProfileError(f"no row for profile {profile!r}") from None
+        return self.rows[k]
 
 
-def _defections(selection: SelectionFunction, p: GameContext) -> tuple[bytes, bytes]:
+def _defections(
+    selection: SelectionFunction, p: GameContext, keys: tuple
+) -> tuple[bytes, bytes]:
     """One player's verdicts along one deviation line, from one goal call.
+
+    `keys` stands for `p.table` position by position: keys[j] == keys[k]
+    exactly when the outcomes at moves j and k are equal.  The table itself
+    qualifies, and so do interned outcome ids.
 
     Returns two flag strings aligned with the moves of `p`; byte j is 1 iff
     a profile in which the player plays move j fails the player's goal:
@@ -343,10 +358,11 @@ def _defections(selection: SelectionFunction, p: GameContext) -> tuple[bytes, by
     approves), then as a selection (move j is not chosen).
     """
     chosen = selection(p)
-    good = {p(x) for x in chosen}
+    index = p.domain.index
+    good = {keys[index(x)] for x in chosen}
     picked = set(chosen)
     return (
-        bytes(v not in good for v in p.table),
+        bytes(k not in good for k in keys),
         bytes(x not in picked for x in p.domain.labels),
     )
 
@@ -360,7 +376,8 @@ def evaluate_profile(game: Game, profile) -> ProfileResult:
     s = game.check_profile(profile)
     q_def, s_def = [], []
     for i, p in enumerate(game.players, start=1):
-        q, sel = _defections(p.selection, unilateral_context(game, s, i))
+        ctx = unilateral_context(game, s, i)
+        q, sel = _defections(p.selection, ctx, ctx.table)
         j = p.moves.index(s[i - 1])
         if q[j]:
             q_def.append(p.name)
@@ -396,8 +413,13 @@ def enumerate_equilibria(
     index k of the flat outcome list, a mixed-radix number whose last digit
     is the last player's move, so the deviation line of player i through a
     profile is a slice with step equal to the product of the later players'
-    move counts.  Each player's goal runs once per distinct context; its
-    verdicts are written into every profile of each line that shows it.
+    move counts.  The outcomes are interned to dense int ids before the
+    sweep, one id per class of equal outcomes, so a line's memo key is the
+    tuple of its ids and the verdicts compare ids, never outcomes.  Each
+    player's goal runs once per distinct context by value, on the real
+    values (one representative per id); its verdicts are written into every
+    profile of each line that shows it.  Rows hold each profile's outcome
+    as the outcome function returned it.
     """
     total = game.profile_count()
     if total > max_profiles:
@@ -406,6 +428,9 @@ def enumerate_equilibria(
         )
     fn = game.outcome_fn
     outcomes = [fn(s) for s in game.profiles()]
+    intern = {}
+    ids = [intern.setdefault(v, len(intern)) for v in outcomes]
+    by_id = list(intern)
     q_flags, s_flags = [], []  # per player: 1 where that player defects
     block = total
     for p in game.players:
@@ -415,11 +440,12 @@ def enumerate_equilibria(
         for start in range(0, total, block):
             for base in range(start, start + stride):
                 line = slice(base, base + block, stride)
-                values = tuple(outcomes[line])
-                verdict = memo.get(values)
+                key = tuple(ids[line])
+                verdict = memo.get(key)
                 if verdict is None:
+                    values = tuple([by_id[k] for k in key])
                     ctx = GameContext._trusted(p.moves, game.outcomes, values)
-                    verdict = memo[values] = _defections(p.selection, ctx)
+                    verdict = memo[key] = _defections(p.selection, ctx, key)
                 q_flag[line], s_flag[line] = verdict
         q_flags.append(q_flag)
         s_flags.append(s_flag)

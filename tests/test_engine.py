@@ -181,6 +181,23 @@ def test_evaluate_profile_matches_report_row():
         assert evaluate_profile(NY, s) == report.row(s)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_report_row_is_found_by_index(name):
+    report = enumerate_equilibria(builtin(name))
+    for k, r in enumerate(report.rows):
+        assert report.row(list(r.profile)) is report.rows[k]
+
+
+@pytest.mark.parametrize(
+    "profile", [("B", "A"), ("B", "A", "B", "A"), ("B", "Z", "B"), (None, "A", "B")]
+)
+def test_report_row_rejects_profiles_it_does_not_list(profile):
+    report = enumerate_equilibria(KEYNES)
+    with pytest.raises(InvalidProfileError) as e:
+        report.row(profile)
+    assert str(e.value) == f"no row for profile {profile!r}"
+
+
 # oracle-side reconstructions of every builtin, written against plain dicts
 _prefer_a = argmax_order_sel(("A", "B"))
 _bos_wife = lex_sel(coord_sel, target_sel(1, "B"))
@@ -412,6 +429,80 @@ def test_single_profile_walks_only_its_own_lines(outcome_calls):
     with pytest.raises(BudgetExceededError):
         enumerate_equilibria(game)
     assert len(outcome_calls) <= 2 * 25 + 1
+
+
+def _counted_game(game):
+    players = tuple(Player(p.name, p.moves, _Counted(p.selection)) for p in game.players)
+    return Game(game.name, players, game.outcomes, game.outcome_fn)
+
+
+def _line_contexts(game, i):
+    """Player i's context on every deviation line, as value tuples (0-based i)."""
+    moves = game.players[i].moves
+    return {
+        tuple(game.outcome(s[:i] + (x,) + s[i + 1 :]) for x in moves)
+        for s in game.profiles()
+    }
+
+
+def _assert_one_goal_call_per_context(game):
+    for i, p in enumerate(game.players):
+        tables = [ctx.table for ctx in p.selection.seen]
+        assert len(set(tables)) == len(tables)
+        assert set(tables) == _line_contexts(game, i)
+
+
+def test_each_goal_runs_once_per_distinct_context_by_value():
+    # payoffs from two levels, so many lines show equal contexts
+    move_sets = [("a", "b", "c"), ("x", "y"), ("p", "q", "r")]
+    entries = {
+        s: tuple((k * 7 + j * 3) % 5 // 3 for j in range(3))
+        for k, s in enumerate(product(*move_sets))
+    }
+    matrix = PayoffMatrix("two-levels", ["P1", "P2", "P3"], move_sets, entries)
+    game = _counted_game(classical_game(matrix))
+    report = enumerate_equilibria(game)
+    # 6 + 9 + 6 deviation lines, fewer distinct contexts
+    assert sum(len(p.selection.seen) for p in game.players) < 6 + 9 + 6
+    _assert_one_goal_call_per_context(game)
+    assert set(report.selection_equilibria()) == set(brute_force_nash(matrix))
+
+
+def test_equal_int_and_fraction_outcomes_share_a_context():
+    one, zero = Fraction(1), Fraction(0)
+    table = {
+        ("A", "A"): (1, 0), ("A", "B"): (one, zero), ("A", "C"): (0, 1),
+        ("B", "A"): (one, zero), ("B", "B"): (1, 0), ("B", "C"): (zero, one),
+    }
+    players = (
+        Player("P1", AB, _Counted(ArgmaxCoord(1))),
+        Player("P2", MoveSet(("A", "B", "C")), _Counted(ArgmaxCoord(2))),
+    )
+    game = Game("mixed", players, VectorOutcomes(2, (0, 1)), outcome_table(table))
+    report = enumerate_equilibria(game)
+    # by value, P1's three lines show two contexts and P2's two lines one
+    assert [len(p.selection.seen) for p in players] == [2, 1]
+    _assert_one_goal_call_per_context(game)
+    for row in report.rows:
+        assert row.outcome is game.outcome_fn(row.profile)
+        assert evaluate_profile(game, row.profile) == report.row(row.profile)
+    assert report.selection_equilibria() == (("A", "C"), ("B", "C"))
+
+
+@dataclass(frozen=True)
+class _PicksNonMove(SelectionFunction):
+    def __call__(self, p):
+        return ("Z",)
+
+
+def test_a_goal_that_picks_a_non_move_is_a_value_error():
+    players = (Player("P1", AB, _PicksNonMove()), Player("P2", AB, Fix()), Player("P3", AB, Fix()))
+    game = Game("bad-goal", players, AtomOutcomes(("A", "B")), majority_rule())
+    message = r"^tuple\.index\(x\): x not in tuple$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_equilibria(game)
+    with pytest.raises(ValueError, match=message):
+        evaluate_profile(game, ("A", "A", "A"))
 
 
 def test_hand_built_contexts_are_still_validated():
