@@ -128,23 +128,33 @@ def _json_outcome(value):
     return [str(Fraction(v)) for v in value]
 
 
-def _fmt_defects(names) -> str:
-    return ", ".join(names) if names else "-"
-
-
 def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _format_columns(header, rows) -> str:
-    widths = [
-        max(len(header[i]), max((len(r[i]) for r in rows), default=0))
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+def _chosen(concept: str, column_concept) -> bool:
+    return column_concept in (None, concept) or concept == "both"
+
+
+def _print_report(args, doc: dict, key: str, columns, items) -> None:
+    """Print one report: `doc` with `doc[key]` holding one dict per item
+    under --format json, else an aligned table with one row per item.
+
+    Each column is (concept or None, table header, JSON key, table cell of
+    an item, JSON value of an item); the caller picks which columns apply.
+    """
+    if args.format == "json":
+        fields = [(k, value) for _, _, k, _, value in columns]
+        doc[key] = [{k: value(it) for k, value in fields} for it in items]
+        print(json.dumps(doc, indent=2, ensure_ascii=False))
+        return
+    cells = [cell for _, _, _, cell, _ in columns]
+    lines = [[header for _, header, _, _, _ in columns]]
+    lines += [[cell(it) for cell in cells] for it in items]
+    widths = [max(map(len, col)) for col in zip(*lines)]
+    print("\n".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -152,65 +162,42 @@ def _format_columns(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solve_table(rows, concept: str) -> str:
-    header = ["Strategy", "Outcome"]
-    if concept != "selection":
-        header += ["QuantifierEq", "QDefects"]
-    if concept != "quantifier":
-        header += ["SelectionEq", "SDefects"]
-    body = []
-    for r in rows:
-        cells = [_fmt_moves(r.profile), _fmt_outcome(r.outcome)]
-        if concept != "selection":
-            cells += [_yes(r.quantifier_eq), _fmt_defects(r.quantifier_defectors)]
-        if concept != "quantifier":
-            cells += [_yes(r.selection_eq), _fmt_defects(r.selection_defectors)]
-        body.append(cells)
-    return _format_columns(header, body)
-
-
-def _solve_json(game: Game, rows, report, concept: str) -> str:
-    doc = {
-        "schema_version": 1,
-        "game": game.name,
-        "players": [p.name for p in game.players],
-        "concept": concept,
-        "rows": [],
-    }
-    for r in rows:
-        row = {"strategy": list(r.profile), "outcome": _json_outcome(r.outcome)}
-        if concept != "selection":
-            row["quantifier_eq"] = r.quantifier_eq
-            row["q_defects"] = list(r.quantifier_defectors)
-        if concept != "quantifier":
-            row["selection_eq"] = r.selection_eq
-            row["s_defects"] = list(r.selection_defectors)
-        doc["rows"].append(row)
-    if report is not None:
-        if concept != "selection":
-            doc["quantifier_equilibria"] = [
-                list(s) for s in report.quantifier_equilibria()
-            ]
-        if concept != "quantifier":
-            doc["selection_equilibria"] = [
-                list(s) for s in report.selection_equilibria()
-            ]
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+_SOLVE_COLUMNS = (
+    (None, "Strategy", "strategy", lambda r: _fmt_moves(r.profile), lambda r: list(r.profile)),
+    (None, "Outcome", "outcome",
+     lambda r: _fmt_outcome(r.outcome), lambda r: _json_outcome(r.outcome)),
+    ("quantifier", "QuantifierEq", "quantifier_eq",
+     lambda r: _yes(r.quantifier_eq), lambda r: r.quantifier_eq),
+    ("quantifier", "QDefects", "q_defects",
+     lambda r: ", ".join(r.quantifier_defectors) or "-", lambda r: list(r.quantifier_defectors)),
+    ("selection", "SelectionEq", "selection_eq",
+     lambda r: _yes(r.selection_eq), lambda r: r.selection_eq),
+    ("selection", "SDefects", "s_defects",
+     lambda r: ", ".join(r.selection_defectors) or "-", lambda r: list(r.selection_defectors)),
+)
 
 
 def cmd_solve(args) -> int:
     game = _load_game(args)
+    doc = {
+        "schema_version": 1,
+        "game": game.name,
+        "players": [p.name for p in game.players],
+        "concept": args.concept,
+        "rows": None,
+    }
     if args.profile is not None:
         profile = tuple(x.strip() for x in args.profile.split(","))
         rows = (evaluate_profile(game, profile),)
-        report = None
     else:
         report = enumerate_equilibria(game, max_profiles=args.max_profiles)
         rows = report.rows
-    if args.format == "json":
-        print(_solve_json(game, rows, report, args.concept))
-    else:
-        print(_solve_table(rows, args.concept))
+        for concept in ("quantifier", "selection"):
+            if args.format == "json" and _chosen(args.concept, concept):
+                found = getattr(report, f"{concept}_equilibria")()
+                doc[f"{concept}_equilibria"] = [list(s) for s in found]
+    columns = [c for c in _SOLVE_COLUMNS if _chosen(args.concept, c[0])]
+    _print_report(args, doc, "rows", columns, rows)
     return 0
 
 
@@ -234,6 +221,16 @@ def _witness_json(w):
     }
 
 
+# Items are (player name, closedness result) pairs.
+_ANALYZE_COLUMNS = (
+    (None, "Player", "name", lambda r: r[0], lambda r: r[0]),
+    (None, "Closed", "closed", lambda r: _yes(bool(r[1])), lambda r: bool(r[1])),
+    (None, "Witness", "witness", lambda r: "-" if r[1] else _witness_text(r[1].witness),
+     lambda r: None if r[1] else _witness_json(r[1].witness)),
+    (None, "AttainsLift", "attains_lift", lambda r: "yes", lambda r: True),
+)
+
+
 def cmd_analyze(args) -> int:
     """Closedness of each player's goal, with a witness where it fails.
 
@@ -243,37 +240,11 @@ def cmd_analyze(args) -> int:
     """
     game = _load_game(args)
     results = [
-        (p, is_closed(p.selection, p.moves, game.outcomes, args.max_contexts))
+        (p.name, is_closed(p.selection, p.moves, game.outcomes, args.max_contexts))
         for p in game.players
     ]
-
-    if args.format == "json":
-        doc = {
-            "schema_version": 1,
-            "game": game.name,
-            "players": [
-                {
-                    "name": p.name,
-                    "closed": bool(closed),
-                    "witness": None if closed else _witness_json(closed.witness),
-                    "attains_lift": True,
-                }
-                for p, closed in results
-            ],
-        }
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
-    else:
-        header = ["Player", "Closed", "Witness", "AttainsLift"]
-        body = [
-            [
-                p.name,
-                _yes(bool(closed)),
-                "-" if closed else _witness_text(closed.witness),
-                "yes",
-            ]
-            for p, closed in results
-        ]
-        print(_format_columns(header, body))
+    doc = {"schema_version": 1, "game": game.name, "players": None}
+    _print_report(args, doc, "players", _ANALYZE_COLUMNS, results)
     return 0
 
 

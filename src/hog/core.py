@@ -686,6 +686,11 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
             for m in moves:
                 if m not in domain:
                     raise TypeMismatchError(f"table selection picks unknown move {m!r}")
+        contexts = codomain.size() ** len(domain)
+        if len(obj._lookup) != contexts:
+            raise TypeMismatchError(
+                f"table selection has rows for {len(obj._lookup)} of {contexts} contexts"
+            )
     elif isinstance(obj, Preimage):
         check_shape(obj.quantifier, domain, codomain)
     elif isinstance(obj, Lifted):
@@ -697,11 +702,15 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
 
 
 def may_be_empty(e: SelectionFunction) -> bool:
-    """Whether the selection can come back empty on some context."""
+    """Whether the goal (a selection or a quantifier) can come back empty."""
     if isinstance(e, TargetCoord):
         return True
     if isinstance(e, TableSelection):
         return any(not moves for _, moves in e.entries)
+    if isinstance(e, Preimage):
+        return may_be_empty(e.quantifier)
+    if isinstance(e, Lifted):
+        return may_be_empty(e.selection)
     # Lex falls back to the whole move set, so it absorbs empty parts
     return False
 

@@ -107,6 +107,91 @@ def test_solve_json_shape_and_aggregates(capsys):
     assert bab["s_defects"] == ["J1", "J2"]
 
 
+BOS_LEX_SELECTION_JSON = {
+    "schema_version": 1,
+    "game": "bos-lex",
+    "players": ["W", "H"],
+    "concept": "selection",
+    "rows": [
+        {"strategy": ["B", "B"], "outcome": ["B", "B"], "selection_eq": True, "s_defects": []},
+        {"strategy": ["B", "F"], "outcome": ["B", "F"], "selection_eq": False,
+         "s_defects": ["W", "H"]},
+        {"strategy": ["F", "B"], "outcome": ["F", "B"], "selection_eq": False,
+         "s_defects": ["W", "H"]},
+        {"strategy": ["F", "F"], "outcome": ["F", "F"], "selection_eq": True, "s_defects": []},
+    ],
+    "selection_equilibria": [["B", "B"], ["F", "F"]],
+}
+
+BOS_LEX_QUANTIFIER_TABLE = """\
+Strategy  Outcome  QuantifierEq  QDefects
+BB        BB       yes           -
+BF        BF       no            W, H
+FB        FB       no            W, H
+FF        FF       yes           -
+"""
+
+
+def test_solve_json_golden_for_one_concept(capsys):
+    code, out, err = run(
+        capsys, "solve", "--builtin", "bos-lex", "--concept", "selection", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    # the literal fixes the key order of the document, of each row and of
+    # the aggregates; indent 2 is the CLI's layout
+    assert out == json.dumps(BOS_LEX_SELECTION_JSON, indent=2) + "\n"
+
+
+def test_solve_table_golden_for_the_quantifier_concept(capsys):
+    code, out, err = run(capsys, "solve", "--builtin", "bos-lex", "--concept", "quantifier")
+    assert code == 0 and err == ""
+    assert out == BOS_LEX_QUANTIFIER_TABLE
+
+
+PRODUCT_GAME = """\
+game g
+moves H = { B, F }
+moves W = { B, F }
+outcomes = moves
+outcome_fn = table {
+  (B, B) -> (B, B) ;
+  (B, F) -> (B, B) ;
+  (F, B) -> (F, B) ;
+  (F, F) -> (F, F)
+}
+player H = fix(coord: 2)
+player W = coord
+"""
+
+
+def test_analyze_golden_with_label_tuple_outcomes(tmp_path, capsys):
+    path = tmp_path / "product.hog"
+    path.write_text(PRODUCT_GAME)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert out == (
+        "Player  Closed  Witness                              AttainsLift\n"
+        "H       no      p={B->BB, F->BB}: picks B but not F  yes\n"
+        "W       yes     -                                    yes\n"
+    )
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0 and err == ""
+    witness = {
+        "context": {"B": ["B", "B"], "F": ["B", "B"]},
+        "good_move": "B",
+        "excluded_move": "F",
+    }
+    expected = {
+        "schema_version": 1,
+        "game": "g",
+        "players": [
+            {"name": "H", "closed": False, "witness": witness, "attains_lift": True},
+            {"name": "W", "closed": True, "witness": None, "attains_lift": True},
+        ],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_json_output_is_byte_stable(capsys):
     first = run(capsys, "solve", "--builtin", "bos-agreement", "--format", "json")
     second = run(capsys, "solve", "--builtin", "bos-agreement", "--format", "json")

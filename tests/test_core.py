@@ -32,6 +32,7 @@ from hog import (
     NonFixProj,
     PreferenceOrder,
     ProductOutcomes,
+    TableSelection,
     TargetCoord,
     TypeMismatchError,
     VectorOutcomes,
@@ -490,6 +491,23 @@ def test_check_shape_rejects_incompatible_pairs():
         check_shape(ArgmaxOrder(PreferenceOrder(("A", "B", "C"))), AB, ATOMS_AB)
     with pytest.raises(TypeMismatchError):
         check_shape(Lex(Fix(), Coord()), AB, ATOMS_AB)
+
+
+def test_check_shape_rejects_a_table_selection_that_misses_contexts():
+    first = next(enumerate_contexts(BF, PROD_BF))
+    with pytest.raises(TypeMismatchError) as err:
+        check_shape(TableSelection(((first, ("B",)),)), BF, PROD_BF)
+    assert str(err.value) == "table selection has rows for 1 of 16 contexts"
+    for domain, codomain, e in SELECTIONS:
+        check_shape(tabulate(e, domain, codomain), domain, codomain)
+
+
+def test_may_be_empty_sees_through_lifts():
+    assert may_be_empty(closure_of(TargetCoord(2, "B")))
+    assert may_be_empty(lift_selection(TargetCoord(2, "B")))
+    assert may_be_empty(lift_quantifier(lift_selection(TargetCoord(2, "B"))))
+    assert not may_be_empty(closure_of(Lex(Coord(), TargetCoord(2, "B"))))
+    assert not may_be_empty(closure_of(Fix()))
 
 
 def test_check_shape_finds_an_unranked_vector_without_listing_the_space(monkeypatch):

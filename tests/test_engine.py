@@ -31,6 +31,7 @@ from hog import (
     ProfileResult,
     ProductOutcomes,
     SelectionFunction,
+    TableSelection,
     TargetCoord,
     TypeMismatchError,
     VectorOutcomes,
@@ -38,6 +39,8 @@ from hog import (
     builtin,
     builtin_names,
     classical_game,
+    closure_of,
+    enumerate_contexts,
     enumerate_equilibria,
     evaluate_profile,
     identity_rule,
@@ -538,6 +541,25 @@ def test_game_rejects_bare_target():
     )
     space = ProductOutcomes((MoveSet(("B", "F")), MoveSet(("B", "F"))))
     with pytest.raises(ValueError, match="can reject every move"):
+        Game("g", players, space, identity_rule())
+
+
+def test_game_rejects_a_lifted_target_and_accepts_one_with_a_fallback():
+    bf = MoveSet(("B", "F"))
+    space = ProductOutcomes((bf, bf))
+    bare = (Player("W", bf, closure_of(TargetCoord(2, "B"))), Player("H", bf, Coord()))
+    with pytest.raises(ValueError, match="can reject every move"):
+        Game("g", bare, space, identity_rule())
+    fallback = closure_of(Lex(Coord(), TargetCoord(2, "B")))
+    Game("g", (Player("W", bf, fallback), Player("H", bf, Coord())), space, identity_rule())
+
+
+def test_game_rejects_a_table_selection_that_misses_contexts():
+    bf = MoveSet(("B", "F"))
+    space = ProductOutcomes((bf, bf))
+    first = next(enumerate_contexts(bf, space))
+    players = (Player("W", bf, TableSelection(((first, ("B",)),))), Player("H", bf, Coord()))
+    with pytest.raises(TypeMismatchError, match="rows for 1 of 16 contexts"):
         Game("g", players, space, identity_rule())
 
 
