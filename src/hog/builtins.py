@@ -129,22 +129,21 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(CATALOG)
 
 
-def builtin(name: str) -> Game:
+def _find(table: dict, name: str, what: str):
     try:
-        return CATALOG[name][0]
+        return table[name]
     except KeyError:
         raise UnknownBuiltinError(
-            f"no builtin named {name!r}; available: {', '.join(CATALOG)}"
+            f"no {what} named {name!r}; available: {', '.join(table)}"
         ) from None
+
+
+def builtin(name: str) -> Game:
+    return _find(CATALOG, name, "builtin")[0]
 
 
 def builtin_note(name: str) -> str:
-    try:
-        return CATALOG[name][1]
-    except KeyError:
-        raise UnknownBuiltinError(
-            f"no builtin named {name!r}; available: {', '.join(CATALOG)}"
-        ) from None
+    return _find(CATALOG, name, "builtin")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +232,4 @@ def payoff_matrix_names() -> tuple[str, ...]:
 
 
 def payoff_matrix(name: str) -> PayoffMatrix:
-    try:
-        return PAYOFF_MATRICES[name]
-    except KeyError:
-        raise UnknownBuiltinError(
-            f"no payoff matrix named {name!r}; available: {', '.join(PAYOFF_MATRICES)}"
-        ) from None
+    return _find(PAYOFF_MATRICES, name, "payoff matrix")

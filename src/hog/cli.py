@@ -27,7 +27,9 @@ class _InputError(Exception):
     pass
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, budget: str) -> None:
+    # `budget` is the flag the command reads; the other is still accepted and
+    # checked, but hidden from --help
     p.add_argument("file", nargs="?", help="a .hog game file")
     p.add_argument("--builtin", metavar="NAME", help="use a preset game instead of a file")
     p.add_argument("--format", choices=("table", "json"), default="table")
@@ -36,14 +38,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_PROFILE_BUDGET,
         metavar="N",
-        help="abort instead of sweeping more strategy profiles than this",
+        help="abort instead of sweeping more strategy profiles than this"
+        if budget == "--max-profiles" else argparse.SUPPRESS,
     )
     p.add_argument(
         "--max-contexts",
         type=int,
         default=DEFAULT_CONTEXT_BUDGET,
         metavar="N",
-        help="abort instead of sweeping more game contexts than this",
+        help="abort instead of sweeping more game contexts than this"
+        if budget == "--max-contexts" else argparse.SUPPRESS,
     )
 
 
@@ -56,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="enumerate both kinds of equilibria")
-    _add_common_flags(solve)
+    _add_common_flags(solve, "--max-profiles")
     solve.add_argument(
         "--concept",
         choices=("selection", "quantifier", "both"),
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="closedness and attainment checks, player by player"
     )
-    _add_common_flags(analyze)
+    _add_common_flags(analyze, "--max-contexts")
     analyze.set_defaults(func=cmd_analyze)
 
     lst = sub.add_parser("list", help="available preset games")

@@ -78,9 +78,6 @@ class MoveSet:
 # sets (strategy profiles as outcomes), and payoff vectors over a fixed grid
 # of rational values.
 
-Value = Union[str, tuple]
-
-
 @dataclass(frozen=True)
 class AtomOutcomes:
     """Outcomes are bare labels, e.g. the candidate elected."""
@@ -233,6 +230,10 @@ def projection(space: OutcomeSpace, value, i: int):
 # ---------------------------------------------------------------------------
 
 
+def _ordered_values(codomain: OutcomeSpace, values) -> tuple:
+    return tuple(sorted(set(values), key=codomain.rank))
+
+
 @dataclass(frozen=True)
 class GameContext:
     """A total map from one player's moves to outcomes.
@@ -284,8 +285,7 @@ class GameContext:
 
     def image(self) -> tuple:
         """Distinct values hit by the context, in canonical outcome order."""
-        seen = set(self.table)
-        return tuple(sorted(seen, key=self.codomain.rank))
+        return _ordered_values(self.codomain, self.table)
 
 
 def enumerate_contexts(
@@ -571,51 +571,6 @@ class Preimage(SelectionFunction):
 # ---------------------------------------------------------------------------
 
 
-def _ordered_values(codomain: OutcomeSpace, values) -> tuple:
-    return tuple(sorted(set(values), key=codomain.rank))
-
-
-@dataclass(frozen=True)
-class MaxOrder(Quantifier):
-    """The single best attained outcome under a strict total order."""
-
-    order: PreferenceOrder
-
-    def __call__(self, p: GameContext) -> tuple:
-        best = min(p.image(), key=self.order.position)
-        return (best,)
-
-
-@dataclass(frozen=True)
-class MaxCoord(Quantifier):
-    """Attained outcomes whose chosen payoff coordinate is maximal."""
-
-    coord: int
-
-    def __call__(self, p: GameContext) -> tuple:
-        _check_vector_coord(p.codomain, self.coord)
-        img = p.image()
-        i = self.coord - 1
-        best = max(v[i] for v in img)
-        return tuple(v for v in img if v[i] == best)
-
-
-@dataclass(frozen=True)
-class FixQuantifier(Quantifier):
-    """Outcomes some move maps to itself under; all attained outcomes if none.
-
-    The fallback mirrors the fixpoint selection's, pushed through the
-    context, which is what makes the two views of a fixpoint player agree.
-    """
-
-    def __call__(self, p: GameContext) -> tuple:
-        _check_atoms_match(p.domain, p.codomain)
-        fixed = [v for x, v in zip(p.domain.labels, p.table) if v == x]
-        if fixed:
-            return _ordered_values(p.codomain, fixed)
-        return p.image()
-
-
 @dataclass(frozen=True)
 class Lifted(Quantifier):
     """Outcomes attained by the wrapped selection's chosen moves."""
@@ -624,6 +579,26 @@ class Lifted(Quantifier):
 
     def __call__(self, p: GameContext) -> tuple:
         return _ordered_values(p.codomain, (p(x) for x in self.selection(p)))
+
+
+# The named quantifiers are the ones their selection functions induce.
+def MaxOrder(order: PreferenceOrder) -> Quantifier:
+    """The single best attained outcome under a strict total order."""
+    return Lifted(ArgmaxOrder(order))
+
+
+def MaxCoord(coord: int) -> Quantifier:
+    """Attained outcomes whose chosen payoff coordinate is maximal."""
+    return Lifted(ArgmaxCoord(coord))
+
+
+def FixQuantifier() -> Quantifier:
+    """Outcomes some move maps to itself under; all attained outcomes if none.
+
+    The fallback mirrors the fixpoint selection's, pushed through the
+    context, which is what makes the two views of a fixpoint player agree.
+    """
+    return Lifted(Fix())
 
 
 def lift_selection(e: SelectionFunction) -> Quantifier:
@@ -652,7 +627,7 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
     Raises the same errors evaluation would, but without needing a context,
     so ill-typed games are rejected at construction time.
     """
-    if isinstance(obj, (ArgmaxOrder, MaxOrder)):
+    if isinstance(obj, ArgmaxOrder):
         # the ranking is duplicate-free, so counting its in-space values
         # tells whether it covers the space without enumerating the space
         ranking = obj.order.ranking
@@ -668,9 +643,9 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
             raise TypeMismatchError(
                 f"order ranks values outside the outcome space, e.g. {extra[0]!r}"
             )
-    elif isinstance(obj, (ArgmaxCoord, MaxCoord)):
+    elif isinstance(obj, ArgmaxCoord):
         _check_vector_coord(codomain, obj.coord)
-    elif isinstance(obj, (Fix, NonFix, FixQuantifier)):
+    elif isinstance(obj, (Fix, NonFix)):
         _check_atoms_match(domain, codomain)
     elif isinstance(obj, (FixProj, NonFixProj, TargetCoord)):
         _check_product(codomain, obj.coord)

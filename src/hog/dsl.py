@@ -36,14 +36,7 @@ from .core import (
     TargetCoord,
     VectorOutcomes,
 )
-from .engine import (
-    Game,
-    Player,
-    game_problems,
-    identity_rule,
-    majority_rule,
-    outcome_table,
-)
+from .engine import Game, OutcomeFunction, Player, game_problems
 from .errors import HogError, RenderError
 
 
@@ -99,7 +92,7 @@ _TOKEN_RE = re.compile(
       | (?P<NUMBER>-?\d+(?:/\d+)?)
       | (?P<IDENT>""" + _IDENT + r""")
       | (?P<PUNCT>[{}(),;:=<])
-      | (?P<BAD>.)[^\n]*
+      | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
@@ -123,13 +116,14 @@ def _statements(text: str, diags: list) -> list[list[_Token]]:
     """The token lists of the statements in `text`, read in one pass.
 
     Whitespace and comments make no token.  A newline ends a statement only
-    outside brackets.  An unexpected character is reported and the rest of
-    its line skipped.
+    outside brackets.  A run of unexpected characters is reported once;
+    inside brackets only the run is skipped, at top level the rest of its line.
     """
     stmts: list[list[_Token]] = []
     current: list[_Token] = []
     stack: list[_Token] = []
     line, line_start = 1, 0
+    skipping, bad_end = False, -1
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
@@ -137,13 +131,18 @@ def _statements(text: str, diags: list) -> list[list[_Token]]:
         if kind == "NEWLINE":
             line += 1
             line_start = m.end()
+            skipping = False
             if current and not stack:
                 stmts.append(current)
                 current = []
             continue
+        if skipping:
+            continue
         tok = _Token(kind, m.group(kind), line, m.start() - line_start + 1)
         if kind == "BAD":
-            _err(diags, tok, f"unexpected character {tok.text!r}", "syntax")
+            if m.start() != bad_end:  # one report per run of bad characters
+                _err(diags, tok, f"unexpected character {tok.text!r}", "syntax")
+            skipping, bad_end = not stack, m.end()
             continue
         if kind == "PUNCT" and tok.text in "{(":
             stack.append(tok)
@@ -575,12 +574,7 @@ def parse_game(src) -> ParseResult:
         outcomes = VectorOutcomes(shape, tuple(sorted(levels)))
 
     # Game is the validator; its problems are only located here
-    if kind == "majority":
-        fn = majority_rule()
-    elif kind == "identity":
-        fn = identity_rule()
-    else:
-        fn = outcome_table(tuple((profile, value) for profile, value, _ in entries))
+    fn = OutcomeFunction(kind, tuple((profile, value) for profile, value, _ in entries))
     players = tuple(
         Player(n, ms, decl["player", n][1]) for n, ms in zip(names, move_sets)
     )

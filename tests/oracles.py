@@ -166,3 +166,22 @@ def fixq_quant(p):
     """Fixpoint outcomes, falling back to the context image."""
     fps = {x for x in p if p[x] == x}
     return fps or set(p.values())
+
+
+def max_order_quant(ranking):
+    """The single best outcome the context attains, ``ranking`` best first."""
+
+    def quant(p):
+        return {min(p.values(), key=ranking.index)}
+
+    return quant
+
+
+def max_coord_quant(i):
+    """Attained outcomes whose coordinate ``i`` (1-based) is maximal."""
+
+    def quant(p):
+        top = max(v[i - 1] for v in p.values())
+        return {v for v in p.values() if v[i - 1] == top}
+
+    return quant

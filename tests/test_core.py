@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from hog import (
     NonFixProj,
     PreferenceOrder,
     ProductOutcomes,
+    Quantifier,
     TableSelection,
     TargetCoord,
     TypeMismatchError,
@@ -47,6 +50,7 @@ from hog import (
     projection,
     tabulate,
 )
+from oracles import fixq_quant, max_coord_quant, max_order_quant
 from test_laws import SELECTIONS
 
 AB = MoveSet(("A", "B"))
@@ -353,6 +357,31 @@ def test_quantifier_results_nonempty_and_within_image():
             assert set(got) <= set(p.image())
 
 
+def test_quantifiers_match_their_oracles_on_every_context():
+    xy = MoveSet(("x", "y"))
+    vec2 = VectorOutcomes(2, (0, Fraction(1, 2), 1))
+    vec3 = VectorOutcomes(3, (0, 1))
+    worst_first = tuple(reversed(vec2.all_outcomes()))
+    cases = [
+        (AB, ATOMS_AB, MaxOrder(PREFER_A), max_order_quant(("A", "B"))),
+        (AB, ATOMS_AB, MaxOrder(PREFER_B), max_order_quant(("B", "A"))),
+        (ABC, ATOMS_ABC, MaxOrder(PreferenceOrder(("C", "A", "B"))),
+         max_order_quant(("C", "A", "B"))),
+        (xy, vec2, MaxOrder(PreferenceOrder(worst_first)), max_order_quant(worst_first)),
+        (AB, ATOMS_AB, FixQuantifier(), fixq_quant),
+        (ABC, ATOMS_ABC, FixQuantifier(), fixq_quant),
+        (xy, vec2, MaxCoord(1), max_coord_quant(1)),
+        (xy, vec2, MaxCoord(2), max_coord_quant(2)),
+        (ABC, vec3, MaxCoord(3), max_coord_quant(3)),
+    ]
+    for domain, codomain, f, oracle in cases:
+        canonical = codomain.all_outcomes()
+        for values in product(canonical, repeat=len(domain)):
+            p = GameContext(domain, codomain, values)
+            good = oracle(dict(zip(domain.labels, values)))
+            assert f(p) == tuple(v for v in canonical if v in good), (f, values)
+
+
 # ---------------------------------------------------------------------------
 # lifts and closure
 # ---------------------------------------------------------------------------
@@ -554,3 +583,33 @@ def test_preference_order_invariants():
         PreferenceOrder(())
     with pytest.raises(IncompleteOrderError):
         PREFER_A.position("C")
+
+
+def test_public_names_stay_exported():
+    # submodules show up in dir(hog) once anything imports them, so skip them
+    names = sorted(
+        n for n in dir(hog)
+        if not n.startswith("_") and not isinstance(getattr(hog, n), types.ModuleType)
+    )
+    assert names == [
+        "ArgmaxCoord", "ArgmaxOrder", "AtomOutcomes", "AttainmentWitness",
+        "BudgetExceededError", "CheckResult", "ClosednessWitness", "Coord",
+        "CoordinateOutOfRangeError", "DEFAULT_CONTEXT_BUDGET", "DEFAULT_PROFILE_BUDGET",
+        "EquilibriumReport", "Fix", "FixProj", "FixQuantifier", "Game", "GameContext",
+        "GameSource", "HogError", "IncompleteOrderError", "InvalidProfileError", "Lex",
+        "Lifted", "MaxCoord", "MaxOrder", "MoveSet", "NonFix", "NonFixProj",
+        "OutcomeFunction", "ParseDiagnostic", "ParseResult", "PayoffMatrix", "Player",
+        "PlayerOutOfRangeError", "PreferenceOrder", "Preimage", "ProductOutcomes",
+        "ProfileResult", "Quantifier", "RenderError", "SelectionFunction",
+        "TableSelection", "TargetCoord", "TypeMismatchError", "UnknownBuiltinError",
+        "VectorOutcomes", "attains", "brute_force_nash", "builtin", "builtin_names",
+        "builtin_note", "check_shape", "classical_game", "closure_of",
+        "enumerate_contexts", "enumerate_equilibria", "evaluate_profile",
+        "identity_rule", "is_closed", "is_quantifier_equilibrium",
+        "is_selection_equilibrium", "lift_quantifier", "lift_selection",
+        "majority_rule", "may_be_empty", "outcome_table", "parse_file", "parse_game",
+        "payoff_matrix", "payoff_matrix_names", "projection", "render_game",
+        "tabulate", "unilateral_context",
+    ]
+    for f in (MaxOrder(PREFER_A), MaxCoord(1), FixQuantifier()):
+        assert isinstance(f, Quantifier)

@@ -287,22 +287,23 @@ player P2 = coord
 """
 
 LEXER_CASES = {
-    # the rest of the line is skipped, brackets included; the next line parses
+    # at top level the rest of the line is skipped, brackets included; the
+    # next line parses
     "at-mid-line": (
         ("game g\n", "game g @ ) {\n"),
         [("1:8: error: unexpected character '@'", "syntax")],
     ),
-    # skipping the rest of the line leaves the entry's '(' open
+    # inside brackets only the character is skipped; the entry still closes
     "dollar-in-entry": (
         ("(A, B) -> (A, B) ;", "(A, B) -> (A, $B) ;"),
+        [("7:17: error: unexpected character '$'", "syntax")],
+    ),
+    # a run of bad characters is one error; a second run is its own
+    "runs-in-entry": (
+        ("(A, B) -> (A, B) ;", "(A, B) -> ($$A, B~~) ;"),
         [
-            ("2:1: error: no player declaration for P1", "missing"),
-            ("3:1: error: no player declaration for P2", "missing"),
-            ("7:13: error: unclosed '('", "syntax"),
-            ("7:17: error: unexpected character '$'", "syntax"),
-            ("8:3: error: expected a label or a rational number", "syntax"),
-            ("10:1: error: unmatched '}'", "syntax"),
-            ("11:1: error: unexpected 'player' after the end of the statement", "syntax"),
+            ("7:14: error: unexpected character '$'", "syntax"),
+            ("7:20: error: unexpected character '~'", "syntax"),
         ],
     ),
     "stray-paren": (

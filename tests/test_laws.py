@@ -91,20 +91,22 @@ SELECTIONS = [
     (XY, VEC3, ArgmaxCoord(3)),
 ]
 
+# MaxOrder, MaxCoord and FixQuantifier build Lifted goals, so each case
+# carries the name it was built with for its test id
 QUANTIFIERS = [
-    (AB, ATOMS_AB, MaxOrder(PREFER_A)),
-    (AB, ATOMS_AB, MaxOrder(PREFER_B)),
-    (AB, ATOMS_AB, FixQuantifier()),
-    (AB, ATOMS_AB, Lifted(Fix())),
-    (AB, ATOMS_AB, Lifted(NonFix())),
-    (ABC, ATOMS_ABC, FixQuantifier()),
-    (ABC, ATOMS_ABC, MaxOrder(PreferenceOrder(("C", "A", "B")))),
-    (BF, PROD_BF, Lifted(Coord())),
-    (BF, PROD_BF, Lifted(TargetCoord(1, "B"))),
-    (XY, VEC2, MaxCoord(1)),
-    (XY, VEC2, MaxCoord(2)),
-    (XY, VEC2, MaxOrder(PreferenceOrder(VEC2.all_outcomes()))),
-    (XY, VEC3, MaxCoord(3)),
+    ("MaxOrder", AB, ATOMS_AB, MaxOrder(PREFER_A)),
+    ("MaxOrder", AB, ATOMS_AB, MaxOrder(PREFER_B)),
+    ("FixQuantifier", AB, ATOMS_AB, FixQuantifier()),
+    ("Lifted", AB, ATOMS_AB, Lifted(Fix())),
+    ("Lifted", AB, ATOMS_AB, Lifted(NonFix())),
+    ("FixQuantifier", ABC, ATOMS_ABC, FixQuantifier()),
+    ("MaxOrder", ABC, ATOMS_ABC, MaxOrder(PreferenceOrder(("C", "A", "B")))),
+    ("Lifted", BF, PROD_BF, Lifted(Coord())),
+    ("Lifted", BF, PROD_BF, Lifted(TargetCoord(1, "B"))),
+    ("MaxCoord", XY, VEC2, MaxCoord(1)),
+    ("MaxCoord", XY, VEC2, MaxCoord(2)),
+    ("MaxOrder", XY, VEC2, MaxOrder(PreferenceOrder(VEC2.all_outcomes()))),
+    ("MaxCoord", XY, VEC3, MaxCoord(3)),
 ]
 
 
@@ -150,9 +152,14 @@ def test_chosen_moves_attain_the_lift(case):
             assert p(x) in good
 
 
-@pytest.mark.parametrize("case", QUANTIFIERS, ids=_sel_id)
+def _quant_id(case):
+    name, domain, codomain, _ = case
+    return f"{name}-{type(codomain).__name__}{len(domain)}"
+
+
+@pytest.mark.parametrize("case", QUANTIFIERS, ids=_quant_id)
 def test_quantifier_survives_the_double_lift(case):
-    domain, codomain, f = case
+    _, domain, codomain, f = case
     back = lift_selection(lift_quantifier(f))
     for p in enumerate_contexts(domain, codomain):
         assert back(p) == f(p)
