@@ -8,13 +8,15 @@ and ask their selection function, or its lift, whether the profile stands.
 
 Profiles that differ only in player i's move form a deviation line, and
 every profile on it hands player i the same context.  The sweep therefore
-tabulates the outcome function once per profile, interns the outcomes to
-dense int ids (equal outcomes, one id), reads each line's ids straight out
-of that table, runs the player's goal once per distinct line of ids, and
-copies both verdicts to every profile on the line.  Memo keys and verdicts
-compare ids, so no outcome is hashed after interning; goals still see the
-real values.  A single profile is judged by walking just the n lines
-through it.
+tabulates the outcome function once per profile and interns the outcomes
+to int ids (equal outcomes, one id).  For each player it slices that
+table into one column of ids per move, zips the columns into the lines'
+keys, and takes `dict.fromkeys` of the keys as the memo: the player's goal
+runs once per distinct key.  The verdicts go back to the lines through the
+memo and from there, by slice assignment, to every profile.  Memo keys and
+verdicts compare ids, so no outcome is hashed after interning; goals still
+see the real values.  A single profile is judged by walking just the n
+lines through it.
 
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
@@ -27,7 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as cartesian
+from itertools import compress, count, product as cartesian
+from operator import itemgetter, not_
 from typing import Iterator, Mapping, Optional
 
 from .core import (
@@ -50,7 +53,10 @@ from .errors import (
 )
 
 #: Cap on the number of strategy profiles an exhaustive sweep will visit.
-DEFAULT_PROFILE_BUDGET = 10**7
+#: A sweep's peak memory grows by about 370-480 bytes per profile (majority
+#: games of 15 and 17 voters), so a sweep at this cap peaks near 1 GiB and a
+#: larger game ends in BudgetExceededError, not in running out of memory.
+DEFAULT_PROFILE_BUDGET = 2**21
 
 
 @dataclass(frozen=True)
@@ -404,6 +410,73 @@ def is_selection_equilibrium(game: Game, profile) -> tuple[bool, tuple[str, ...]
     return r.selection_eq, r.selection_defectors
 
 
+def _move_slices(j: int, stride: int, block: int, total: int) -> list[tuple[slice, slice]]:
+    """Where move j of a player sits, as (profiles, lines) slice pairs.
+
+    The player's moves split each block of `block` profiles into runs of
+    `stride`, one run per move, so profile ``b * block + j * stride + off``
+    lies on the player's line ``b * stride + off``.  Each pair maps some of
+    those profiles to the lines they lie on: one pair per block or one per
+    offset, whichever are fewer.
+    """
+    blocks, first = total // block, j * stride
+    lines = blocks * stride
+    if blocks <= stride:
+        return [
+            (slice(at, at + stride), slice(line, line + stride))
+            for at, line in zip(range(first, total, block), range(0, lines, stride))
+        ]
+    return [
+        (slice(first + off, total, block), slice(off, lines, stride))
+        for off in range(stride)
+    ]
+
+
+def _player_flags(
+    p: Player, codomain: OutcomeSpace, outcomes: list, ids: list, block: int
+) -> tuple[bytearray, bytearray]:
+    """Player p's quantifier and selection flags, one byte per profile.
+
+    `outcomes` is the outcome table and `ids` the interned one, in which an
+    id is the index of a profile with that outcome; `block` is the product
+    of the move counts of p and every later player.
+    """
+    total, k = len(ids), len(p.moves)
+    stride = block // k
+    where = [_move_slices(j, stride, block, total) for j in range(k)]
+    columns = [[0] * (total // k) for _ in range(k)]
+    for column, pairs in zip(columns, where):
+        for at, line in pairs:
+            column[line] = ids[at]
+    keys = list(zip(*columns))
+    memo = dict.fromkeys(keys)
+    for key in memo:
+        values = tuple(map(outcomes.__getitem__, key))
+        ctx = GameContext._trusted(p.moves, codomain, values)
+        memo[key] = _defections(p.selection, ctx, key)
+    verdicts = list(map(memo.__getitem__, keys))
+    flags = bytearray(total), bytearray(total)
+    for c, flag in enumerate(flags):
+        joined = b"".join(map(itemgetter(c), verdicts))
+        for j, pairs in enumerate(where):
+            column = joined[j::k]
+            for at, line in pairs:
+                flag[at] = column[line]
+    return flags
+
+
+class _Defectors(dict):
+    """The names whose flag is set, per tuple of flags in player order;
+    equal flag tuples share one tuple of names."""
+
+    def __init__(self, names: tuple):
+        self.names = names
+
+    def __missing__(self, flags: tuple) -> tuple:
+        named = self[flags] = tuple(compress(self.names, flags))
+        return named
+
+
 def enumerate_equilibria(
     game: Game, max_profiles: int = DEFAULT_PROFILE_BUDGET
 ) -> EquilibriumReport:
@@ -411,51 +484,52 @@ def enumerate_equilibria(
 
     The outcome function is called once per profile.  Profile k sits at
     index k of the flat outcome list, a mixed-radix number whose last digit
-    is the last player's move, so the deviation line of player i through a
-    profile is a slice with step equal to the product of the later players'
-    move counts.  The outcomes are interned to dense int ids before the
-    sweep, one id per class of equal outcomes, so a line's memo key is the
-    tuple of its ids and the verdicts compare ids, never outcomes.  Each
-    player's goal runs once per distinct context by value, on the real
-    values (one representative per id); its verdicts are written into every
-    profile of each line that shows it.  Rows hold each profile's outcome
-    as the outcome function returned it.
+    is the last player's move.  The outcomes are interned to int ids in one
+    pass: a profile's id is the index of the first profile whose outcome
+    equals its own, so equal outcomes share an id and each outcome is
+    hashed once.
+
+    Each player's deviation lines are read as columns of ids, one per move:
+    column j lists, line by line, the id at the profile where the player
+    plays move j.  `_move_slices` says where those sit, so the columns are
+    filled by slice assignment.  Zipping the columns gives every line's
+    key, the tuple of its ids, in line order (block by block, then offset
+    by offset), and `dict.fromkeys` of the keys is the memo: its keys are
+    the distinct contexts in first-seen order.  The player's goal runs once
+    per memo key, on the real values (one representative per id), so it
+    meets its contexts in the order a line-by-line walk would.  The keys,
+    mapped through the memo, give each line's two flag strings; joined end
+    to end, every k-th byte from byte j is move j's column of flags, and
+    slice assignments write each column back to a `bytearray` in profile
+    order.
+
+    Rows zip the players' flags profile by profile; equal flag tuples share
+    one tuple of defector names.  Rows hold each profile's outcome as the
+    outcome function returned it.
     """
     total = game.profile_count()
     if total > max_profiles:
         raise BudgetExceededError(
             f"{total} profiles exceed the budget of {max_profiles}"
         )
-    fn = game.outcome_fn
-    outcomes = [fn(s) for s in game.profiles()]
-    intern = {}
-    ids = [intern.setdefault(v, len(intern)) for v in outcomes]
-    by_id = list(intern)
+    outcomes = list(map(game.outcome_fn, game.profiles()))
+    first = {}
+    ids = list(map(first.setdefault, outcomes, count()))
     q_flags, s_flags = [], []  # per player: 1 where that player defects
     block = total
     for p in game.players:
-        stride = block // len(p.moves)
-        q_flag, s_flag = bytearray(total), bytearray(total)
-        memo = {}
-        for start in range(0, total, block):
-            for base in range(start, start + stride):
-                line = slice(base, base + block, stride)
-                key = tuple(ids[line])
-                verdict = memo.get(key)
-                if verdict is None:
-                    values = tuple([by_id[k] for k in key])
-                    ctx = GameContext._trusted(p.moves, game.outcomes, values)
-                    verdict = memo[key] = _defections(p.selection, ctx, key)
-                q_flag[line], s_flag[line] = verdict
+        q_flag, s_flag = _player_flags(p, game.outcomes, outcomes, ids, block)
         q_flags.append(q_flag)
         s_flags.append(s_flag)
-        block = stride
-    names = [p.name for p in game.players]
-    rows = []
-    for k, (s, r) in enumerate(zip(game.profiles(), outcomes)):
-        q_def = tuple(nm for nm, f in zip(names, q_flags) if f[k])
-        s_def = tuple(nm for nm, f in zip(names, s_flags) if f[k])
-        rows.append(ProfileResult(s, r, not q_def, q_def, not s_def, s_def))
+        block //= len(p.moves)
+    names = tuple(p.name for p in game.players)
+    # a fresh dict per concept: each can hold a flag tuple per profile
+    q_def = list(map(_Defectors(names).__getitem__, zip(*q_flags)))
+    s_def = list(map(_Defectors(names).__getitem__, zip(*s_flags)))
+    rows = map(
+        ProfileResult, game.profiles(), outcomes,
+        map(not_, q_def), q_def, map(not_, s_def), s_def,
+    )
     return EquilibriumReport(game, tuple(rows))
 
 

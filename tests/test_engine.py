@@ -1,13 +1,19 @@
 """Games, unilateral contexts, equilibrium sweeps, and the classical bridge."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hog
 from hog import (
+    DEFAULT_PROFILE_BUDGET,
     ArgmaxCoord,
     ArgmaxOrder,
     AtomOutcomes,
@@ -243,6 +249,43 @@ def test_every_builtin_matches_the_brute_force_oracle(name):
         assert row.selection_defectors == tuple(names[i] for i in s_def)
 
 
+_SWEEP_15 = """
+import resource
+from hog import AtomOutcomes, Fix, Game, MoveSet, Player, enumerate_equilibria, majority_rule
+ab = MoveSet(("A", "B"))
+voters = tuple(Player(f"V{i}", ab, Fix()) for i in range(1, 16))
+game = Game("vote15", voters, AtomOutcomes(("A", "B")), majority_rule())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, game.profile_count())
+enumerate_equilibria(game)
+"""
+
+_PEAK_OF_CHILD = """
+import resource, subprocess, sys
+done = subprocess.run([sys.executable, "-c", sys.argv[1]], capture_output=True, text=True)
+sys.stderr.write(done.stderr)
+print(done.stdout, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(done.returncode)
+"""
+
+
+def test_a_sweep_at_the_default_budget_peaks_under_2_gib():
+    # A process's ru_maxrss starts at the peak of the process that launched
+    # it, so the sweep runs under a bare interpreter, whose peak lies below
+    # the sweep's baseline, and not straight under the test process.
+    src = str(Path(hog.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_OF_CHILD, _SWEEP_15],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    baseline, profiles, peak = map(int, done.stdout.split())
+    assert profiles == 2**15
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes there, KiB elsewhere
+    per_profile = (peak - baseline) * unit / profiles
+    assert per_profile > 0
+    assert per_profile * DEFAULT_PROFILE_BUDGET < 2 * 2**30
+
+
 def test_profile_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         enumerate_equilibria(KEYNES, max_profiles=7)
@@ -333,12 +376,21 @@ def _identity_games(draw):
 
 @st.composite
 def _table_games(draw):
-    labels = draw(st.sampled_from([("A",), ("A", "B"), ("A", "B", "C")]))
-    n = draw(st.integers(1, 3))
-    move_sets = [MoveSet(draw(st.permutations(labels))) for _ in range(n)]
+    # mixed radix: up to 4 players of 1-4 moves each, so some players' lines
+    # have more blocks than offsets and others fewer
+    labels = ("A", "B", "C", "D")[: draw(st.integers(1, 4))]
+    n = draw(st.integers(1, 4))
+    move_sets = [
+        MoveSet(draw(st.permutations(("A", "B", "C", "D")[: draw(st.integers(1, 4))])))
+        for _ in range(n)
+    ]
     table = {s: draw(st.sampled_from(labels)) for s in _profiles(move_sets)}
-    leaves = [("fix",), ("nonfix",)] + [("order", o) for o in permutations(labels)]
-    specs = [draw(_goals(leaves)) for _ in range(n)]
+    orders = [("order", o) for o in permutations(labels)]
+    # fixpoint goals need the moves to be the outcome atoms
+    specs = [
+        draw(_goals(orders + [("fix",), ("nonfix",)] if set(m) == set(labels) else orders))
+        for m in move_sets
+    ]
     return _game_of(
         move_sets, AtomOutcomes(labels), outcome_table(table), table.get, specs
     )
@@ -439,20 +491,80 @@ def _counted_game(game):
     return Game(game.name, players, game.outcomes, game.outcome_fn)
 
 
-def _line_contexts(game, i):
-    """Player i's context on every deviation line, as value tuples (0-based i)."""
-    moves = game.players[i].moves
-    return {
-        tuple(game.outcome(s[:i] + (x,) + s[i + 1 :]) for x in moves)
-        for s in game.profiles()
-    }
+def _line_walk(game, i):
+    """The profile where player i plays their first move, on each of
+    player i's deviation lines (0-based i): block by block, then offset by
+    offset."""
+    move_sets = [p.moves.labels for p in game.players]
+    first = move_sets[i][0]
+    for head in product(*move_sets[:i]):
+        for tail in product(*move_sets[i + 1 :]):
+            yield head + (first,) + tail
+
+
+def _contexts_in_line_order(game, i):
+    walk = (unilateral_context(game, s, i + 1).table for s in _line_walk(game, i))
+    return list(dict.fromkeys(walk))
+
+
+def _mixed_radix_game(goals):
+    """Players of 2, 3 and 4 moves over three atom outcomes; the table
+    repeats often enough that lines share contexts."""
+    move_sets = [MoveSet(("a", "b")), MoveSet(("x", "y", "z")), MoveSet(("p", "q", "r", "s"))]
+    labels = ("A", "B", "C")
+    table = {s: labels[k % 5 % 3] for k, s in enumerate(_profiles(move_sets))}
+    players = tuple(
+        Player(f"P{i}", m, g) for i, (m, g) in enumerate(zip(move_sets, goals), start=1)
+    )
+    return Game("mixed-radix", players, AtomOutcomes(labels), outcome_table(table))
+
+
+_ABC = PreferenceOrder(("A", "B", "C"))
+
+
+def test_goals_meet_their_contexts_in_line_order():
+    game = _mixed_radix_game([_Counted(ArgmaxOrder(_ABC)) for _ in range(3)])
+    enumerate_equilibria(game)
+    for i, p in enumerate(game.players):
+        assert 1 < len(p.selection.seen) < game.profile_count() // len(p.moves)
+    _assert_one_goal_call_per_context(game)
+
+
+@dataclass(frozen=True)
+class _FailsOnSecondContext(SelectionFunction):
+    """Wraps a goal and raises when asked about a second distinct context."""
+
+    inner: SelectionFunction
+    seen: list = field(default_factory=list, compare=False)
+
+    def __call__(self, p):
+        if p.table not in self.seen:
+            self.seen.append(p.table)
+        if len(self.seen) == 2:
+            raise RuntimeError(f"second context {p.table}")
+        return self.inner(p)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_a_failing_goal_fails_where_a_line_walk_would(i):
+    goals = [ArgmaxOrder(_ABC)] * 3
+    goals[i] = _FailsOnSecondContext(ArgmaxOrder(_ABC))
+    game = _mixed_radix_game(goals)
+    walker = _FailsOnSecondContext(ArgmaxOrder(_ABC))
+    with pytest.raises(RuntimeError) as by_walk:
+        for s in _line_walk(game, i):
+            walker(unilateral_context(game, s, i + 1))
+    with pytest.raises(RuntimeError) as by_sweep:
+        enumerate_equilibria(game)
+    assert str(by_sweep.value) == str(by_walk.value)
 
 
 def _assert_one_goal_call_per_context(game):
+    # every distinct line context once, in the order a walk over the lines
+    # meets them
     for i, p in enumerate(game.players):
         tables = [ctx.table for ctx in p.selection.seen]
-        assert len(set(tables)) == len(tables)
-        assert set(tables) == _line_contexts(game, i)
+        assert tables == _contexts_in_line_order(game, i)
 
 
 def test_each_goal_runs_once_per_distinct_context_by_value():
