@@ -5,7 +5,8 @@ outcomes.  A selection function answers "which moves would this player be
 happy with here?", a quantifier answers "which outcomes would count as good
 here?".  Everything in this module is finite and exhaustively checkable:
 evaluation returns tuples in a canonical order, and the law checks
-(`is_closed`, `attains`) sweep every context over the given spaces.
+(`is_closed`, `attains`) sweep every context over the given spaces, with
+one call per goal and context and lifted outcomes as an unordered set.
 
 Canonical ordering: moves are reported in the order the move set declares
 them; outcomes are reported in the order the outcome space enumerates them.
@@ -272,9 +273,7 @@ class GameContext:
         aligned with `domain.labels` whose values all lie in `codomain`.
         """
         p = object.__new__(cls)
-        object.__setattr__(p, "domain", domain)
-        object.__setattr__(p, "codomain", codomain)
-        object.__setattr__(p, "table", table)
+        p.__dict__.update(domain=domain, codomain=codomain, table=table)
         return p
 
     def __call__(self, move: str):
@@ -418,7 +417,10 @@ class ArgmaxOrder(SelectionFunction):
     order: PreferenceOrder
 
     def __call__(self, p: GameContext) -> tuple:
-        ranks = [self.order.position(v) for v in p.table]
+        try:
+            ranks = list(map(self.order._position.__getitem__, p.table))
+        except (KeyError, TypeError):  # an unranked value: raise as `position` does
+            ranks = list(map(self.order.position, p.table))
         best = min(ranks)
         return tuple(x for x, r in zip(p.domain.labels, ranks) if r == best)
 
@@ -573,12 +575,12 @@ class Preimage(SelectionFunction):
 
 @dataclass(frozen=True)
 class Lifted(Quantifier):
-    """Outcomes attained by the wrapped selection's chosen moves."""
+    """Outcomes the wrapped selection's chosen moves reach: `set(map(p, chosen))`, sorted."""
 
     selection: SelectionFunction
 
     def __call__(self, p: GameContext) -> tuple:
-        return _ordered_values(p.codomain, (p(x) for x in self.selection(p)))
+        return _ordered_values(p.codomain, map(p, self.selection(p)))
 
 
 # The named quantifiers are the ones their selection functions induce.
@@ -744,10 +746,14 @@ def is_closed(
     max_contexts: int = DEFAULT_CONTEXT_BUDGET,
 ) -> CheckResult:
     """Does choosing a move commit the player to every move with the same
-    outcome?  Sweeps every context; the first counterexample wins."""
+    outcome?  Sweeps every context with one `e` call each; where a move left
+    out reaches a chosen outcome, the first such counterexample wins."""
     for p in enumerate_contexts(domain, codomain, max_contexts):
         chosen = e(p)
         chosen_set = set(chosen)
+        reached = {v for x, v in zip(domain.labels, p.table) if x in chosen_set}
+        if {x for x, v in zip(domain.labels, p.table) if v in reached} == chosen_set:
+            continue  # no move left out reaches a chosen outcome
         for x in chosen:
             v = p(x)
             for y, w in zip(p.domain.labels, p.table):
@@ -763,10 +769,19 @@ def attains(
     codomain: OutcomeSpace,
     max_contexts: int = DEFAULT_CONTEXT_BUDGET,
 ) -> CheckResult:
-    """Does every move `e` picks achieve an outcome `f` approves of?"""
+    """Does every move `e` picks achieve an outcome `f` approves of?
+
+    Sweeps every context; the first counterexample wins.  Per context `f`
+    runs, then `e`, except that one `e` call serves both when `f` lifts `e`
+    itself.  A `Lifted` `f` gives its outcomes unsorted, as `set(map(p, chosen))`.
+    """
+    lifted = isinstance(f, Lifted)
+    own = lifted and f.selection == e
     for p in enumerate_contexts(domain, codomain, max_contexts):
-        good = set(f(p))
-        for x in e(p):
+        picked = e(p) if own else f.selection(p) if lifted else f(p)
+        chosen = picked if own else e(p)
+        good = set(map(p, picked)) if lifted else set(picked)
+        for x in chosen:
             if p(x) not in good:
                 return CheckResult(False, AttainmentWitness(p, x))
     return CheckResult(True)

@@ -35,6 +35,7 @@ from hog import (
     PreferenceOrder,
     ProductOutcomes,
     Quantifier,
+    SelectionFunction,
     TableSelection,
     TargetCoord,
     TypeMismatchError,
@@ -480,6 +481,57 @@ def test_law_checks_respect_budget():
         is_closed(Fix(), AB, ATOMS_AB, max_contexts=3)
     with pytest.raises(BudgetExceededError):
         attains(Fix(), FixQuantifier(), AB, ATOMS_AB, max_contexts=3)
+
+
+class _Logged(SelectionFunction):
+    """Wraps a goal and logs (name, context table) into a shared list per call."""
+
+    def __init__(self, name, inner, log):
+        self.name, self.inner, self.log = name, inner, log
+
+    def __call__(self, p):
+        self.log.append((self.name, p.table))
+        return self.inner(p)
+
+
+def _tables(domain, codomain):
+    return [p.table for p in enumerate_contexts(domain, codomain)]
+
+
+def test_attains_calls_a_goal_it_lifts_once_per_context():
+    log = []
+    e = _Logged("e", Lex(NonFix(), Fix()), log)
+    assert attains(e, lift_selection(e), ABC, ATOMS_ABC).holds
+    assert log == [("e", t) for t in _tables(ABC, ATOMS_ABC)]
+    assert len(log) == 3**3
+
+
+def test_attains_calls_the_lifted_selection_then_the_goal_per_context():
+    log = []
+    e, s = _Logged("e", Fix(), log), _Logged("s", Fix(), log)
+    assert attains(e, Lifted(s), ABC, ATOMS_ABC).holds
+    assert log == [(name, t) for t in _tables(ABC, ATOMS_ABC) for name in "se"]
+    # a failing sweep keeps the order and stops at its witness context
+    log.clear()
+    e, s = _Logged("e", NonFix(), log), _Logged("s", Fix(), log)
+    result = attains(e, Lifted(s), ABC, ATOMS_ABC)
+    assert not result
+    tables = _tables(ABC, ATOMS_ABC)
+    upto = tables[: tables.index(result.witness.context.table) + 1]
+    assert log == [(name, t) for t in upto for name in "se"]
+
+
+def test_is_closed_calls_the_goal_once_per_context_up_to_the_witness():
+    log = []
+    tables = _tables(ABC, ATOMS_ABC)
+    closed = ArgmaxOrder(PreferenceOrder(("B", "C", "A")))
+    assert is_closed(_Logged("e", closed, log), ABC, ATOMS_ABC).holds
+    assert log == [("e", t) for t in tables]
+    log.clear()
+    result = is_closed(_Logged("e", Fix(), log), ABC, ATOMS_ABC)
+    assert not result
+    upto = tables[: tables.index(result.witness.context.table) + 1]
+    assert log == [("e", t) for t in upto] and len(upto) < len(tables)
 
 
 def test_attainment_by_construction():

@@ -30,6 +30,8 @@ from hog import (
     NonFixProj,
     PreferenceOrder,
     ProductOutcomes,
+    Quantifier,
+    SelectionFunction,
     TargetCoord,
     VectorOutcomes,
     attains,
@@ -283,7 +285,65 @@ def test_law_checks_agree_with_the_oracles_witness_for_witness(case):
     assert _digest(is_closed(e, moves, space)) == _oracle_digest(
         domain, closed_brute(domain, values, e_brute)
     )
+    lifted_e = lambda p: {p[x] for x in e_brute(p)}
     lifted_f = lambda p: {p[x] for x in f_brute(p)}
-    assert _digest(attains(e, Lifted(f), moves, space)) == _oracle_digest(
-        domain, attains_brute(domain, values, e_brute, lifted_f)
-    )
+    # e's own lift, another lift, and a quantifier that is not a `Lifted`
+    for quantifier, brute in (
+        (Lifted(e), lifted_e),
+        (Lifted(f), lifted_f),
+        (_Delegate(Lifted(f)), lifted_f),
+    ):
+        assert _digest(attains(e, quantifier, moves, space)) == _oracle_digest(
+            domain, attains_brute(domain, values, e_brute, brute)
+        )
+
+
+class _Delegate(Quantifier):
+    """A user quantifier, not a `Lifted`, that answers what `inner` answers."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, p):
+        return self.inner(p)
+
+
+class _Twice(SelectionFunction):
+    """A user goal that lists each of `inner`'s moves twice."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, p):
+        return self.inner(p) * 2
+
+
+# Each space holds contexts where several moves share an outcome; open goals
+# find their witness there, closed goals must pass them.
+_SHARED = [
+    (AB, ("A", "B"), ATOMS_AB, goal) for goal in [("fix",), ("order", ("B", "A"))]
+] + [
+    (ABC, ("A", "B", "C"), ATOMS_ABC, goal)
+    for goal in [("fix",), ("nonfix",), ("order", ("B", "C", "A")),
+                 ("lex", ("fix",), ("order", ("C", "A", "B"))),
+                 ("lex", ("nonfix",), ("fix",))]
+] + [
+    (MoveSet(("E", "G", "H")), tuple(product(("E", "G"), ("G", "H"))),
+     ProductOutcomes((MoveSet(("E", "G")), MoveSet(("G", "H")))), goal)
+    for goal in [("fixproj", 1), ("nonfixproj", 2), ("coord",), ("target", 2, "G"),
+                 ("lex", ("fixproj", 2), ("target", 1, "E"))]
+] + [
+    (MoveSet(("a", "b", "c")), ((0,), (1,), (2,)), VectorOutcomes(1, (0, 1, 2)), goal)
+    for goal in [("argmaxcoord", 1), ("order", ((1,), (2,), (0,)))]
+]
+
+
+@pytest.mark.parametrize("case", _SHARED, ids=lambda case: str(case[3]))
+def test_is_closed_agrees_with_the_oracle_where_moves_share_outcomes(case):
+    moves, values, space, spec = case
+    domain = list(moves)
+    expected = _oracle_digest(domain, closed_brute(domain, values, _oracle_goal(spec)))
+    e = _hog_goal(spec)
+    assert _digest(is_closed(e, moves, space)) == expected
+    # a goal that repeats its moves chooses the same set, so the same witness
+    assert _digest(is_closed(_Twice(e), moves, space)) == expected
