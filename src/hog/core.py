@@ -6,7 +6,7 @@ happy with here?", a quantifier answers "which outcomes would count as good
 here?".  Everything in this module is finite and exhaustively checkable:
 evaluation returns tuples in a canonical order, and the law checks
 (`is_closed`, `attains`) sweep every context over the given spaces, with
-one call per goal and context and lifted outcomes as an unordered set.
+one call per goal and context and a goal's own lift as an unordered set.
 
 Canonical ordering: moves are reported in the order the move set declares
 them; outcomes are reported in the order the outcome space enumerates them.
@@ -746,19 +746,19 @@ def is_closed(
     max_contexts: int = DEFAULT_CONTEXT_BUDGET,
 ) -> CheckResult:
     """Does choosing a move commit the player to every move with the same
-    outcome?  Sweeps every context with one `e` call each; where a move left
-    out reaches a chosen outcome, the first such counterexample wins."""
+    outcome?  Sweeps every context with one `e` call each; the first chosen
+    move that a left-out move shares its outcome with, and the first such move."""
     for p in enumerate_contexts(domain, codomain, max_contexts):
         chosen = e(p)
         chosen_set = set(chosen)
-        reached = {v for x, v in zip(domain.labels, p.table) if x in chosen_set}
-        if {x for x, v in zip(domain.labels, p.table) if v in reached} == chosen_set:
-            continue  # no move left out reaches a chosen outcome
+        left_out = {}  # outcome -> first move left out that reaches it
+        for y, w in zip(domain.labels, p.table):
+            if y not in chosen_set:
+                left_out.setdefault(w, y)
         for x in chosen:
-            v = p(x)
-            for y, w in zip(p.domain.labels, p.table):
-                if y not in chosen_set and w == v:
-                    return CheckResult(False, ClosednessWitness(p, x, y))
+            y = left_out.get(p(x))
+            if y is not None:
+                return CheckResult(False, ClosednessWitness(p, x, y))
     return CheckResult(True)
 
 
@@ -772,15 +772,15 @@ def attains(
     """Does every move `e` picks achieve an outcome `f` approves of?
 
     Sweeps every context; the first counterexample wins.  Per context `f`
-    runs, then `e`, except that one `e` call serves both when `f` lifts `e`
-    itself.  A `Lifted` `f` gives its outcomes unsorted, as `set(map(p, chosen))`.
+    runs, then `e`, except when `f` is `e`'s own lift (`Lifted(e)`): then one
+    `e` call serves both, and the approved outcomes are the unordered
+    `set(map(p, chosen))` that `Lifted` would sort.
     """
-    lifted = isinstance(f, Lifted)
-    own = lifted and f.selection == e
+    own = isinstance(f, Lifted) and f.selection == e
     for p in enumerate_contexts(domain, codomain, max_contexts):
-        picked = e(p) if own else f.selection(p) if lifted else f(p)
+        picked = e(p) if own else f(p)
         chosen = picked if own else e(p)
-        good = set(map(p, picked)) if lifted else set(picked)
+        good = set(map(p, picked)) if own else set(picked)
         for x in chosen:
             if p(x) not in good:
                 return CheckResult(False, AttainmentWitness(p, x))
