@@ -8,15 +8,16 @@ and ask their selection function, or its lift, whether the profile stands.
 
 Profiles that differ only in player i's move form a deviation line, and
 every profile on it hands player i the same context.  The sweep therefore
-tabulates the outcome function once per profile and interns the outcomes
-to int ids (equal outcomes, one id).  For each player it slices that
-table into one column of ids per move, zips the columns into the lines'
-keys, and takes `dict.fromkeys` of the keys as the memo: the player's goal
-runs once per distinct key.  The verdicts go back to the lines through the
-memo and from there, by slice assignment, to every profile.  Memo keys and
-verdicts compare ids, so no outcome is hashed after interning; goals still
-see the real values.  A single profile is judged by walking just the n
-lines through it.
+tabulates every profile's outcome once (a majority winner is decoded once
+per distinct tally of votes; a table or identity is called once per
+profile) and interns the outcomes to int ids (equal outcomes, one id).  For
+each player it slices that table into one column of ids per move, zips the
+columns into the lines' keys, and takes `dict.fromkeys` of the keys as the
+memo: the player's goal runs once per distinct key.  The verdicts go back
+to the lines through the memo and from there, by slice assignment, to
+every profile.  Memo keys and verdicts compare ids, so no outcome is hashed
+after interning; goals still see the real values.  A single profile is
+judged by walking just the n lines through it.
 
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
@@ -101,6 +102,32 @@ class OutcomeFunction:
             return self._table[profile]
         except KeyError:
             raise InvalidProfileError(f"no outcome listed for profile {profile!r}") from None
+
+    def _tabulate(self, move_sets) -> list:
+        """Every profile's outcome, as `__call__` gives it, in profile order
+        (mixed radix, last player fastest).
+
+        A majority winner depends on the vote counts alone.  So each profile
+        is keyed by one int whose digit r, base n + 1, counts the votes for
+        the r-th label in sorted order, and each distinct key is decoded
+        once.  Tables and identity call `__call__` once per profile.
+        """
+        if self.kind != "majority":
+            return list(map(self, cartesian(*(ms.labels for ms in move_sets))))
+        labels = sorted(move_sets[0].labels)
+        base = len(move_sets) + 1
+        weight = {x: base**r for r, x in enumerate(labels)}
+        keys = [0]
+        for ms in move_sets:
+            weights = [weight[x] for x in ms.labels]
+            keys = [k + w for k in keys for w in weights]
+        winner = dict.fromkeys(keys)
+        for key in winner:
+            votes = [key // w % base for w in weight.values()]
+            # the first label with the most votes: ties go to the label that
+            # sorts first, as in `__call__`
+            winner[key] = labels[votes.index(max(votes))]
+        return list(map(winner.__getitem__, keys))
 
 
 def _entries(ent) -> tuple:
@@ -482,12 +509,14 @@ def enumerate_equilibria(
 ) -> EquilibriumReport:
     """Judge every profile; profiles appear in lexicographic order.
 
-    The outcome function is called once per profile.  Profile k sits at
-    index k of the flat outcome list, a mixed-radix number whose last digit
-    is the last player's move.  The outcomes are interned to int ids in one
-    pass: a profile's id is the index of the first profile whose outcome
-    equals its own, so equal outcomes share an id and each outcome is
-    hashed once.
+    After the budget check, `OutcomeFunction._tabulate` gives every
+    profile's outcome: a majority winner is decoded once per distinct vote
+    count, and a table or identity is called once per profile.  Profile k
+    sits at index k of the flat outcome list, a mixed-radix number whose
+    last digit is the last player's move.  The outcomes are interned to int
+    ids in one pass: a profile's id is the index of the first profile whose
+    outcome equals its own, so equal outcomes share an id and each outcome
+    is hashed once.
 
     Each player's deviation lines are read as columns of ids, one per move:
     column j lists, line by line, the id at the profile where the player
@@ -512,7 +541,7 @@ def enumerate_equilibria(
         raise BudgetExceededError(
             f"{total} profiles exceed the budget of {max_profiles}"
         )
-    outcomes = list(map(game.outcome_fn, game.profiles()))
+    outcomes = game.outcome_fn._tabulate(tuple(p.moves for p in game.players))
     first = {}
     ids = list(map(first.setdefault, outcomes, count()))
     q_flags, s_flags = [], []  # per player: 1 where that player defects

@@ -468,12 +468,25 @@ def test_sweep_tabulates_once_and_runs_each_goal_once_per_context(outcome_calls)
     game = _counted_vote(13)
     report = enumerate_equilibria(game)
     assert len(report.rows) == 2**13
-    assert len(outcome_calls) == 2**13
+    # majority outcomes come from vote counts: no call per profile or line
+    assert outcome_calls == []
     for p in game.players:
         # the others' votes leave the voter three contexts: A wins, B wins,
         # or the voter decides
         assert len(p.selection.seen) <= 3
         assert len(set(p.selection.seen)) == len(p.selection.seen)
+
+
+def test_sweep_calls_a_table_once_per_profile(outcome_calls):
+    game = builtin("meeting-ny")
+    table = Game(
+        game.name, game.players, game.outcomes,
+        outcome_table({s: game.outcome(s) for s in game.profiles()}),
+    )
+    outcome_calls.clear()
+    report = enumerate_equilibria(table)
+    assert outcome_calls == list(table.profiles())
+    assert report.rows == enumerate_equilibria(game).rows
 
 
 def test_single_profile_walks_only_its_own_lines(outcome_calls):
@@ -484,6 +497,69 @@ def test_single_profile_walks_only_its_own_lines(outcome_calls):
     with pytest.raises(BudgetExceededError):
         enumerate_equilibria(game)
     assert len(outcome_calls) <= 2 * 25 + 1
+
+
+def test_budget_is_checked_before_tabulating(monkeypatch):
+    tabulated = []
+    tabulate = OutcomeFunction._tabulate
+
+    def recording(self, move_sets):
+        tabulated.append(move_sets)
+        return tabulate(self, move_sets)
+
+    monkeypatch.setattr(OutcomeFunction, "_tabulate", recording)
+    game = _counted_vote(25)
+    with pytest.raises(BudgetExceededError):
+        enumerate_equilibria(game)
+    assert tabulated == []
+    enumerate_equilibria(_counted_vote(3))
+    assert tabulated == [(AB,) * 3]
+
+
+@st.composite
+def _shuffled_majority_games(draw):
+    """1-7 voters over 1-4 shared labels, each voter listing them in its own
+    order; even crowds tie."""
+    labels = ("A", "B", "C", "D")[: draw(st.integers(1, 4))]
+    n = draw(st.integers(1, 7))
+    goals = st.sampled_from([Fix(), NonFix(), ArgmaxOrder(PreferenceOrder(labels))])
+    players = tuple(
+        Player(f"V{i}", MoveSet(draw(st.permutations(labels))), draw(goals))
+        for i in range(1, n + 1)
+    )
+    return Game("shuffled", players, AtomOutcomes(labels), majority_rule())
+
+
+def _tabulation_agrees_with_calls(game):
+    fn = game.outcome_fn
+    tabulated = fn._tabulate(tuple(p.moves for p in game.players))
+    assert tabulated == [fn(s) for s in game.profiles()]
+    for row in enumerate_equilibria(game).rows:
+        assert row.outcome == game.outcome(row.profile)
+
+
+@settings(deadline=None, max_examples=60)
+@given(game=_shuffled_majority_games())
+def test_majority_tabulation_agrees_with_the_outcome_function(game):
+    _tabulation_agrees_with_calls(game)
+
+
+def test_majority_builtins_tabulate_as_they_are_called():
+    names = [n for n in builtin_names() if builtin(n).outcome_fn.kind == "majority"]
+    assert len(names) == 5
+    for name in names:
+        _tabulation_agrees_with_calls(builtin(name))
+
+
+def test_majority_ties_go_to_the_label_that_sorts_first():
+    moves = MoveSet(("C", "B", "A"))
+    players = tuple(Player(f"V{i}", moves, Fix()) for i in range(4))
+    game = Game("ties", players, AtomOutcomes(("A", "B", "C")), majority_rule())
+    table = dict(zip(game.profiles(), game.outcome_fn._tabulate((moves,) * 4)))
+    assert table[("C", "C", "B", "B")] == "B"
+    assert table[("C", "A", "B", "B")] == "B"
+    assert table[("C", "A", "C", "A")] == "A"
+    assert table[("A", "B", "C", "C")] == "C"
 
 
 def _counted_game(game):
