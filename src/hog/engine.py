@@ -8,16 +8,17 @@ and ask their selection function, or its lift, whether the profile stands.
 
 Profiles that differ only in player i's move form a deviation line, and
 every profile on it hands player i the same context.  The sweep therefore
-tabulates every profile's outcome once (a majority winner is decoded once
-per distinct tally of votes; a table or identity is called once per
-profile) and interns the outcomes to int ids (equal outcomes, one id).  For
-each player it slices that table into one column of ids per move, zips the
-columns into the lines' keys, and takes `dict.fromkeys` of the keys as the
-memo: the player's goal runs once per distinct key.  The verdicts go back
-to the lines through the memo and from there, by slice assignment, to
-every profile.  Memo keys and verdicts compare ids, so no outcome is hashed
-after interning; goals still see the real values.  A single profile is
-judged by walking just the n lines through it.
+tabulates every profile's outcome once (a majority winner over few labels
+is decoded once per distinct tally of votes; other outcome functions are
+called once per profile) and interns the outcomes to int ids (equal
+outcomes, one id).  For each player it slices that table into one column
+of ids per move, zips the columns into the lines' keys, and takes
+`dict.fromkeys` of the keys as the memo: the player's goal runs once per
+distinct key.  The verdicts go back to the lines through the memo and from
+there, by slice assignment, to every profile.  Memo keys and verdicts
+compare ids, so no outcome is hashed after interning; goals still see the
+real values.  A single profile is judged by walking just the n lines
+through it.
 
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
@@ -95,9 +96,7 @@ class OutcomeFunction:
         if self.kind == "identity":
             return profile
         if self.kind == "majority":
-            # ties broken toward the alphabetically first label; with an
-            # odd number of voters over two candidates they never arise
-            return max(sorted(set(profile)), key=profile.count)
+            return _majority_winner(set(profile), profile.count)
         try:
             return self._table[profile]
         except KeyError:
@@ -110,24 +109,33 @@ class OutcomeFunction:
         A majority winner depends on the vote counts alone.  So each profile
         is keyed by one int whose digit r, base n + 1, counts the votes for
         the r-th label in sorted order, and each distinct key is decoded
-        once.  Tables and identity call `__call__` once per profile.
+        once.  That pays only while a key fits in 62 bits: with many labels
+        a key grows by a digit per label and every decode costs a big-int
+        division per label, so such games, like tables and identity, call
+        `__call__` once per profile.
         """
-        if self.kind != "majority":
+        n, width = len(move_sets), len(move_sets[0].labels)
+        if self.kind != "majority" or width * (n + 1).bit_length() > 62:
             return list(map(self, cartesian(*(ms.labels for ms in move_sets))))
         labels = sorted(move_sets[0].labels)
-        base = len(move_sets) + 1
-        weight = {x: base**r for r, x in enumerate(labels)}
+        weight = {x: (n + 1) ** r for r, x in enumerate(labels)}
         keys = [0]
         for ms in move_sets:
             weights = [weight[x] for x in ms.labels]
             keys = [k + w for k in keys for w in weights]
         winner = dict.fromkeys(keys)
         for key in winner:
-            votes = [key // w % base for w in weight.values()]
-            # the first label with the most votes: ties go to the label that
-            # sorts first, as in `__call__`
-            winner[key] = labels[votes.index(max(votes))]
+            votes = {x: key // w % (n + 1) for x, w in weight.items()}
+            winner[key] = _majority_winner(labels, votes.__getitem__)
         return list(map(winner.__getitem__, keys))
+
+
+def _majority_winner(labels, votes):
+    """Majority rule, for `OutcomeFunction.__call__` and `_tabulate` alike:
+    the label with the most votes (`votes` maps a label to its count), a tie
+    going to the label that sorts first.  With an odd number of voters over
+    two candidates ties never arise."""
+    return max(sorted(labels), key=votes)
 
 
 def _entries(ent) -> tuple:
@@ -510,8 +518,9 @@ def enumerate_equilibria(
     """Judge every profile; profiles appear in lexicographic order.
 
     After the budget check, `OutcomeFunction._tabulate` gives every
-    profile's outcome: a majority winner is decoded once per distinct vote
-    count, and a table or identity is called once per profile.  Profile k
+    profile's outcome: a majority winner over few labels is decoded once
+    per distinct vote count, and other outcome functions are called once
+    per profile.  Profile k
     sits at index k of the flat outcome list, a mixed-radix number whose
     last digit is the last player's move.  The outcomes are interned to int
     ids in one pass: a profile's id is the index of the first profile whose

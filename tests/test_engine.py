@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -549,6 +550,37 @@ def test_majority_builtins_tabulate_as_they_are_called():
     assert len(names) == 5
     for name in names:
         _tabulation_agrees_with_calls(builtin(name))
+
+
+@pytest.mark.parametrize(
+    "voters, width, by_votes",
+    [(1, 31, True), (1, 32, False), (2, 31, True), (2, 32, False),
+     (3, 20, True), (3, 21, False)],
+)
+def test_majority_keys_by_votes_only_while_a_key_fits_62_bits(
+    outcome_calls, voters, width, by_votes
+):
+    # a key has one digit, base voters + 1, per label
+    labels = tuple(f"L{i:02d}" for i in range(width))
+    move_sets = tuple(
+        MoveSet(labels[::-1] if i % 2 else labels) for i in range(voters)
+    )
+    fn = majority_rule()
+    tabulated = fn._tabulate(move_sets)
+    calls = len(outcome_calls)
+    assert calls == (0 if by_votes else width**voters)
+    assert tabulated == [fn(s) for s in product(*(ms.labels for ms in move_sets))]
+
+
+def test_many_labels_tabulate_as_fast_as_they_are_called():
+    # keyed by votes, 3000 labels would make 3000-digit keys and decode
+    # each with 3000 big-int divisions (about 30 s); called, it takes ms
+    moves = MoveSet(tuple(f"L{i:04d}" for i in range(3000)))
+    fn = majority_rule()
+    start = time.perf_counter()
+    tabulated = fn._tabulate((moves,))
+    assert time.perf_counter() - start < 2.0
+    assert tabulated == [fn((x,)) for x in moves.labels]
 
 
 def test_majority_ties_go_to_the_label_that_sorts_first():
