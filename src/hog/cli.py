@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -83,6 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     lst = sub.add_parser("list", help="available preset games")
     lst.set_defaults(func=cmd_list)
     return ap
+
+
+_parser = functools.cache(build_parser)  # one tree per process, for `main`
 
 
 def _load_game(args) -> Game:
@@ -266,7 +270,7 @@ def cmd_list(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as e:

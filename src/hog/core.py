@@ -772,16 +772,18 @@ def attains(
     """Does every move `e` picks achieve an outcome `f` approves of?
 
     Sweeps every context; the first counterexample wins.  Per context `f`
-    runs, then `e`, except when `f` is `e`'s own lift (`Lifted(e)`): then one
-    `e` call serves both, and the approved outcomes are the unordered
-    `set(map(p, chosen))` that `Lifted` would sort.
+    runs, then `e`, except when `f` is `e`'s own lift (`Lifted(e)`): every
+    chosen move's outcome is approved by definition, so `e` runs alone and
+    each chosen move is only looked up, which raises on a non-move.
     """
     own = isinstance(f, Lifted) and f.selection == e
     for p in enumerate_contexts(domain, codomain, max_contexts):
-        picked = e(p) if own else f(p)
-        chosen = picked if own else e(p)
-        good = set(map(p, picked)) if own else set(picked)
-        for x in chosen:
+        if own:
+            for x in e(p):
+                p(x)
+            continue
+        good = set(f(p))
+        for x in e(p):
             if p(x) not in good:
                 return CheckResult(False, AttainmentWitness(p, x))
     return CheckResult(True)

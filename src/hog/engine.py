@@ -14,11 +14,13 @@ called once per profile) and interns the outcomes to int ids (equal
 outcomes, one id).  For each player it slices that table into one column
 of ids per move, zips the columns into the lines' keys, and takes
 `dict.fromkeys` of the keys as the memo: the player's goal runs once per
-distinct key.  The verdicts go back to the lines through the memo and from
+distinct key, and that one call judges the line under both concepts: each
+move gets one flag byte, bit 0 a quantifier and bit 1 a selection
+defection.  The flags go back to the lines through the memo and from
 there, by slice assignment, to every profile.  Memo keys and verdicts
 compare ids, so no outcome is hashed after interning; goals still see the
 real values.  A single profile is judged by walking just the n lines
-through it.
+through it.  Both decode a profile's flag bytes the same way.
 
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
@@ -31,8 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, product as cartesian
-from operator import itemgetter, not_
+from itertools import compress, count, starmap, product as cartesian
+from operator import add
 from typing import Iterator, Mapping, Optional
 
 from .core import (
@@ -298,9 +300,8 @@ class Game:
         fn = self.outcome_fn
         if fn.kind == "table":
             # canonicalize entry order so equal games compare equal however
-            # their tables were written down
-            rank = {s: k for k, s in enumerate(self.profiles())}
-            ordered = tuple(sorted(fn.entries, key=lambda e: rank[e[0]]))
+            # their tables were written down; the table is total, no repeats
+            ordered = tuple((s, fn._table[s]) for s in self.profiles())
             if ordered != fn.entries:
                 object.__setattr__(self, "outcome_fn", OutcomeFunction("table", ordered))
 
@@ -384,28 +385,40 @@ class EquilibriumReport:
         return self.rows[k]
 
 
-def _defections(
-    selection: SelectionFunction, p: GameContext, keys: tuple
-) -> tuple[bytes, bytes]:
+def _defections(selection: SelectionFunction, p: GameContext, keys: tuple) -> bytes:
     """One player's verdicts along one deviation line, from one goal call.
 
     `keys` stands for `p.table` position by position: keys[j] == keys[k]
     exactly when the outcomes at moves j and k are equal.  The table itself
     qualifies, and so do interned outcome ids.
 
-    Returns two flag strings aligned with the moves of `p`; byte j is 1 iff
+    Returns one flag string aligned with the moves of `p`.  Byte j says how
     a profile in which the player plays move j fails the player's goal:
-    first as a quantifier (its outcome is not one the lifted selection
-    approves), then as a selection (move j is not chosen).
+    bit 0 as a quantifier (its outcome is not one the lifted selection
+    approves), bit 1 as a selection (move j is not chosen).  A chosen move's
+    outcome is approved, so bit 1 is set wherever bit 0 is.
     """
     chosen = selection(p)
     index = p.domain.index
     good = {keys[index(x)] for x in chosen}
     picked = set(chosen)
-    return (
-        bytes(k not in good for k in keys),
-        bytes(x not in picked for x in p.domain.labels),
+    return bytes(
+        (k not in good) | (x not in picked) << 1 for k, x in zip(keys, p.domain.labels)
     )
+
+
+class _Verdicts(dict):
+    """`ProfileResult`'s four verdict fields per tuple of flag bytes in
+    player order (bit 0 a quantifier, bit 1 a selection defection)."""
+
+    def __init__(self, names: tuple):
+        self.names = names
+
+    def __missing__(self, flags: tuple) -> tuple:
+        q = tuple(compress(self.names, [f & 1 for f in flags]))
+        s = tuple(compress(self.names, flags))  # bit 1 is set wherever bit 0 is
+        verdict = self[flags] = (not q, q, not s, s)
+        return verdict
 
 
 def evaluate_profile(game: Game, profile) -> ProfileResult:
@@ -415,18 +428,12 @@ def evaluate_profile(game: Game, profile) -> ProfileResult:
     for the profile itself, and never tabulates the whole game.
     """
     s = game.check_profile(profile)
-    q_def, s_def = [], []
+    flags = []
     for i, p in enumerate(game.players, start=1):
         ctx = unilateral_context(game, s, i)
-        q, sel = _defections(p.selection, ctx, ctx.table)
-        j = p.moves.index(s[i - 1])
-        if q[j]:
-            q_def.append(p.name)
-        if sel[j]:
-            s_def.append(p.name)
-    return ProfileResult(
-        s, game.outcome_fn(s), not q_def, tuple(q_def), not s_def, tuple(s_def)
-    )
+        flags.append(_defections(p.selection, ctx, ctx.table)[p.moves.index(s[i - 1])])
+    verdicts = _Verdicts(tuple(p.name for p in game.players))
+    return ProfileResult(s, game.outcome_fn(s), *verdicts[tuple(flags)])
 
 
 def is_quantifier_equilibrium(game: Game, profile) -> tuple[bool, tuple[str, ...]]:
@@ -469,8 +476,8 @@ def _move_slices(j: int, stride: int, block: int, total: int) -> list[tuple[slic
 
 def _player_flags(
     p: Player, codomain: OutcomeSpace, outcomes: list, ids: list, block: int
-) -> tuple[bytearray, bytearray]:
-    """Player p's quantifier and selection flags, one byte per profile.
+) -> bytearray:
+    """Player p's flags, one byte per profile, laid out as `_defections` says.
 
     `outcomes` is the outcome table and `ids` the interned one, in which an
     id is the index of a profile with that outcome; `block` is the product
@@ -489,27 +496,13 @@ def _player_flags(
         values = tuple(map(outcomes.__getitem__, key))
         ctx = GameContext._trusted(p.moves, codomain, values)
         memo[key] = _defections(p.selection, ctx, key)
-    verdicts = list(map(memo.__getitem__, keys))
-    flags = bytearray(total), bytearray(total)
-    for c, flag in enumerate(flags):
-        joined = b"".join(map(itemgetter(c), verdicts))
-        for j, pairs in enumerate(where):
-            column = joined[j::k]
-            for at, line in pairs:
-                flag[at] = column[line]
+    joined = b"".join(map(memo.__getitem__, keys))
+    flags = bytearray(total)
+    for j, pairs in enumerate(where):
+        column = joined[j::k]
+        for at, line in pairs:
+            flags[at] = column[line]
     return flags
-
-
-class _Defectors(dict):
-    """The names whose flag is set, per tuple of flags in player order;
-    equal flag tuples share one tuple of names."""
-
-    def __init__(self, names: tuple):
-        self.names = names
-
-    def __missing__(self, flags: tuple) -> tuple:
-        named = self[flags] = tuple(compress(self.names, flags))
-        return named
 
 
 def enumerate_equilibria(
@@ -536,14 +529,15 @@ def enumerate_equilibria(
     the distinct contexts in first-seen order.  The player's goal runs once
     per memo key, on the real values (one representative per id), so it
     meets its contexts in the order a line-by-line walk would.  The keys,
-    mapped through the memo, give each line's two flag strings; joined end
-    to end, every k-th byte from byte j is move j's column of flags, and
-    slice assignments write each column back to a `bytearray` in profile
-    order.
+    mapped through the memo, give each line's flag string, which carries
+    both concepts' verdicts (`_defections`); joined end to end, every k-th
+    byte from byte j is move j's column of flags, and slice assignments
+    write each column back to one `bytearray` per player in profile order.
 
-    Rows zip the players' flags profile by profile; equal flag tuples share
-    one tuple of defector names.  Rows hold each profile's outcome as the
-    outcome function returned it.
+    Rows zip the players' flags profile by profile and decode each tuple of
+    flag bytes through one `_Verdicts`, so equal tuples share one entry:
+    both verdicts and both tuples of defector names.  Rows hold each
+    profile's outcome as the outcome function returned it.
     """
     total = game.profile_count()
     if total > max_profiles:
@@ -553,22 +547,14 @@ def enumerate_equilibria(
     outcomes = game.outcome_fn._tabulate(tuple(p.moves for p in game.players))
     first = {}
     ids = list(map(first.setdefault, outcomes, count()))
-    q_flags, s_flags = [], []  # per player: 1 where that player defects
-    block = total
+    flags, block = [], total  # per player: one flag byte per profile
     for p in game.players:
-        q_flag, s_flag = _player_flags(p, game.outcomes, outcomes, ids, block)
-        q_flags.append(q_flag)
-        s_flags.append(s_flag)
+        flags.append(_player_flags(p, game.outcomes, outcomes, ids, block))
         block //= len(p.moves)
-    names = tuple(p.name for p in game.players)
-    # a fresh dict per concept: each can hold a flag tuple per profile
-    q_def = list(map(_Defectors(names).__getitem__, zip(*q_flags)))
-    s_def = list(map(_Defectors(names).__getitem__, zip(*s_flags)))
-    rows = map(
-        ProfileResult, game.profiles(), outcomes,
-        map(not_, q_def), q_def, map(not_, s_def), s_def,
-    )
-    return EquilibriumReport(game, tuple(rows))
+    verdicts = _Verdicts(tuple(p.name for p in game.players))
+    # a row's fields: its profile and outcome, then its decoded verdicts
+    fields = map(add, zip(game.profiles(), outcomes), map(verdicts.__getitem__, zip(*flags)))
+    return EquilibriumReport(game, tuple(starmap(ProfileResult, fields)))
 
 
 # ---------------------------------------------------------------------------

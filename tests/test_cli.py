@@ -148,6 +148,29 @@ def test_solve_table_golden_for_the_quantifier_concept(capsys):
     assert out == BOS_LEX_QUANTIFIER_TABLE
 
 
+BOS_LEX_TABLE = """\
+Strategy  Outcome  QuantifierEq  QDefects  SelectionEq  SDefects
+BB        BB       yes           -         yes          -
+BF        BF       no            W, H      no           W, H
+FB        FB       no            W, H      no           W, H
+FF        FF       yes           -         yes          -
+"""
+
+
+def test_consecutive_in_process_calls_each_parse_their_own_flags(capsys):
+    # main keeps one parser per process; no flag of a call leaks into the next
+    code, out, err = run(
+        capsys, "solve", "--builtin", "bos-lex", "--format", "json", "--concept", "selection"
+    )
+    assert code == 0 and err == ""
+    assert out == json.dumps(BOS_LEX_SELECTION_JSON, indent=2) + "\n"
+    code, out, err = run(capsys, "solve", "--builtin", "bos-lex")
+    assert code == 0 and err == ""
+    assert out == BOS_LEX_TABLE
+    args = hog.cli.build_parser().parse_args(["solve", "--builtin", "bos-lex"])
+    assert (args.format, args.concept, args.func) == ("table", "both", hog.cli.cmd_solve)
+
+
 PRODUCT_GAME = """\
 game g
 moves H = { B, F }

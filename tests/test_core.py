@@ -52,6 +52,7 @@ from hog import (
     tabulate,
 )
 from oracles import fixq_quant, max_coord_quant, max_order_quant
+from test_engine import _PicksNonMove
 from test_laws import SELECTIONS
 
 AB = MoveSet(("A", "B"))
@@ -519,6 +520,16 @@ def test_attains_calls_the_lifted_selection_then_the_goal_per_context():
     tables = _tables(ABC, ATOMS_ABC)
     upto = tables[: tables.index(result.witness.context.table) + 1]
     assert log == [(name, t) for t in upto for name in "se"]
+
+
+def test_attains_looks_up_every_chosen_move_under_any_quantifier():
+    # a goal that picks a non-move fails the same lookup `p(x)` does, also
+    # under its own lift, where the outcomes of chosen moves need no test
+    e = _PicksNonMove()
+    not_a_move = _raised(lambda: GameContext(AB, ATOMS_AB, ("A", "B"))("Z"))
+    assert not_a_move[0] is ValueError
+    assert _raised(lambda: attains(e, lift_selection(e), AB, ATOMS_AB)) == not_a_move
+    assert _raised(lambda: attains(e, Lifted(Fix()), AB, ATOMS_AB)) == not_a_move
 
 
 def test_is_closed_calls_the_goal_once_per_context_up_to_the_witness():
