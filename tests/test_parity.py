@@ -1,0 +1,115 @@
+"""Byte-identity gate for `hog solve` on vector (payoff-matrix) games.
+
+Each case renders a payoff matrix to a .hog file, runs `hog solve` on it in
+one format under one concept, and compares the sha256 of its exit code,
+stdout and stderr with `parity_vector_games.json`.  A change to the solve
+kernel, the parser or the renderer that moves a single byte of output on
+these games fails here.
+
+Rewrite the manifest (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_parity.py``.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+from hog import (
+    MoveSet,
+    PayoffMatrix,
+    classical_game,
+    payoff_matrix,
+    payoff_matrix_names,
+    render_game,
+)
+from hog.cli import main
+
+MANIFEST = Path(__file__).with_name("parity_vector_games.json")
+FORMATS = ("table", "json")
+CONCEPTS = ("both", "quantifier", "selection")
+
+
+def _generated_matrix() -> PayoffMatrix:
+    """3 players x 6 moves labelled m0..m5, with fractional, negative and
+    integer payoff levels drawn from a fixed seed, so ties are common."""
+    rng = random.Random(16016)
+    levels = (Fraction(-2), Fraction(-3, 4), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2))
+    moves = MoveSet(tuple(f"m{j}" for j in range(6)))
+    entries = [
+        (s, tuple(rng.choice(levels) for _ in range(3)))
+        for s in product(moves.labels, repeat=3)
+    ]
+    return PayoffMatrix("generated-3x6", ("P1", "P2", "P3"), (moves,) * 3, entries)
+
+
+def _sources() -> dict:
+    """Every case's game name and .hog text."""
+    matrices = [payoff_matrix(name) for name in payoff_matrix_names()]
+    matrices.append(_generated_matrix())
+    return {m.name: render_game(classical_game(m)).text for m in matrices}
+
+
+def _digest(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+def _run_all(workdir: Path, capture) -> dict:
+    """sha256 per case, keyed "game/format/concept".  `capture()` returns
+    (stdout, stderr) written since it was last called."""
+    digests = {}
+    for name, text in _sources().items():
+        (workdir / f"{name}.hog").write_text(text)
+        for fmt, concept in product(FORMATS, CONCEPTS):
+            code = main(["solve", f"{name}.hog", "--format", fmt, "--concept", concept])
+            digests[f"{name}/{fmt}/{concept}"] = _digest(code, *capture())
+    return digests
+
+
+def test_vector_game_output_matches_the_manifest(tmp_path, monkeypatch, capsys):
+    # a relative path keeps the file name in any diagnostic independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+
+    def capture():
+        c = capsys.readouterr()
+        return c.out, c.err
+
+    expected = json.loads(MANIFEST.read_text())
+    assert len(expected) == 8 * len(FORMATS) * len(CONCEPTS)
+    assert _run_all(tmp_path, capture) == expected
+
+
+def test_the_cases_reach_the_vector_and_comma_joined_renderings(tmp_path, capsys):
+    path = tmp_path / "g.hog"
+    path.write_text(_sources()["generated-3x6"])
+    assert main(["solve", str(path)]) == 0
+    assert "\nm0,m0,m0  (" in capsys.readouterr().out
+    assert main(["solve", str(path), "--format", "json"]) == 0
+    outcomes = {tuple(r["outcome"]) for r in json.loads(capsys.readouterr().out)["rows"]}
+    levels = {v for outcome in outcomes for v in outcome}
+    assert levels == {"-2", "-3/4", "0", "1/3", "1", "5/2"}
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        out, err = io.StringIO(), io.StringIO()
+
+        def capture():
+            texts = out.getvalue(), err.getvalue()
+            for buf in (out, err):
+                buf.seek(0)
+                buf.truncate()
+            return texts
+
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            digests = _run_all(Path(tmp), capture)
+    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {MANIFEST}")
