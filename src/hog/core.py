@@ -564,7 +564,9 @@ class Preimage(SelectionFunction):
     quantifier: "Quantifier"
 
     def __call__(self, p: GameContext) -> tuple:
-        good = set(self.quantifier(p))
+        q = self.quantifier
+        # a lift's outcomes as a set need no sort; `p(x)` still rejects a non-move
+        good = set(map(p, q.selection(p))) if type(q) is Lifted else set(q(p))
         return _moves_where(p, lambda x, v: v in good)
 
 

@@ -11,16 +11,21 @@ every profile on it hands player i the same context.  The sweep therefore
 tabulates every profile's outcome once (a majority winner over few labels
 is decoded once per distinct tally of votes; other outcome functions are
 called once per profile) and interns the outcomes to int ids (equal
-outcomes, one id).  For each player it slices that table into one column
-of ids per move, zips the columns into the lines' keys, and takes
-`dict.fromkeys` of the keys as the memo: the player's goal runs once per
-distinct key, and that one call judges the line under both concepts: each
-move gets one flag byte, bit 0 a quantifier and bit 1 a selection
+outcomes, one id; a payoff vector is interned by its tuple of level
+indices, not by its Fractions).  For each player it slices that table into
+one column of ids per move, zips the columns into the lines' keys, and
+takes `dict.fromkeys` of the keys as the memo: the player's goal runs once
+per distinct key, and that one call judges the line under both concepts:
+each move gets one flag byte, bit 0 a quantifier and bit 1 a selection
 defection.  The flags go back to the lines through the memo and from
 there, by slice assignment, to every profile.  Memo keys and verdicts
 compare ids, so no outcome is hashed after interning; goals still see the
-real values.  A single profile is judged by walking just the n lines
-through it.  Both decode a profile's flag bytes the same way.
+real values.  A player whose goal is exactly `ArgmaxCoord` skips the memo
+and the goal: their columns hold each move's level index in their payoff
+coordinate, and a move below its line's best fails both concepts (the
+goal is closed, so the two verdicts agree).  A single profile is judged by
+walking just the n lines through it, calling every goal.  Both decode a
+profile's flag bytes the same way.
 
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, starmap, product as cartesian
-from operator import add
+from operator import add, itemgetter, lt
 from typing import Iterator, Mapping, Optional
 
 from .core import (
@@ -474,32 +479,50 @@ def _move_slices(j: int, stride: int, block: int, total: int) -> list[tuple[slic
     ]
 
 
+#: maps a "score below its line's best" byte (0 or 1) to its flag byte
+_BOTH = bytes((0, 3)) + bytes(254)
+
+
 def _player_flags(
-    p: Player, codomain: OutcomeSpace, outcomes: list, ids: list, block: int
+    p: Player, codomain: OutcomeSpace, outcomes: list, keyed: list, ids: list, block: int
 ) -> bytearray:
     """Player p's flags, one byte per profile, laid out as `_defections` says.
 
-    `outcomes` is the outcome table and `ids` the interned one, in which an
-    id is the index of a profile with that outcome; `block` is the product
-    of the move counts of p and every later player.
+    `outcomes` is the outcome table, `keyed` each outcome's intern key (for
+    vector outcomes its tuple of level indices) and `ids` the interned
+    table, in which an id is the index of a profile with that outcome;
+    `block` is the product of the move counts of p and every later player.
+
+    A goal that is exactly `ArgmaxCoord` (so `Game` has checked that the
+    outcomes are vectors) is never called: its columns hold each move's
+    score, the level index of its payoff coordinate, and a move whose score
+    is below the best on its line fails both concepts (flag byte 3) while
+    every other move passes both.  Every other goal runs once per distinct
+    key.
     """
     total, k = len(ids), len(p.moves)
     stride = block // k
     where = [_move_slices(j, stride, block, total) for j in range(k)]
+    scored = type(p.selection) is ArgmaxCoord
+    source = list(map(itemgetter(p.selection.coord - 1), keyed)) if scored else ids
     columns = [[0] * (total // k) for _ in range(k)]
     for column, pairs in zip(columns, where):
         for at, line in pairs:
-            column[line] = ids[at]
-    keys = list(zip(*columns))
-    memo = dict.fromkeys(keys)
-    for key in memo:
-        values = tuple(map(outcomes.__getitem__, key))
-        ctx = GameContext._trusted(p.moves, codomain, values)
-        memo[key] = _defections(p.selection, ctx, key)
-    joined = b"".join(map(memo.__getitem__, keys))
+            column[line] = source[at]
+    if scored:
+        best = list(map(max, *columns)) if k > 1 else columns[0]
+        by_move = [bytes(map(lt, column, best)).translate(_BOTH) for column in columns]
+    else:
+        keys = list(zip(*columns))
+        memo = dict.fromkeys(keys)
+        for key in memo:
+            values = tuple(map(outcomes.__getitem__, key))
+            ctx = GameContext._trusted(p.moves, codomain, values)
+            memo[key] = _defections(p.selection, ctx, key)
+        joined = b"".join(map(memo.__getitem__, keys))
+        by_move = [joined[j::k] for j in range(k)]
     flags = bytearray(total)
-    for j, pairs in enumerate(where):
-        column = joined[j::k]
+    for column, pairs in zip(by_move, where):
         for at, line in pairs:
             flags[at] = column[line]
     return flags
@@ -518,7 +541,9 @@ def enumerate_equilibria(
     last digit is the last player's move.  The outcomes are interned to int
     ids in one pass: a profile's id is the index of the first profile whose
     outcome equals its own, so equal outcomes share an id and each outcome
-    is hashed once.
+    is hashed once.  A payoff vector is keyed by its tuple of level indices
+    in `VectorOutcomes` (the levels are distinct, so equal keys mean equal
+    vectors), and later steps compare small ints, never Fractions.
 
     Each player's deviation lines are read as columns of ids, one per move:
     column j lists, line by line, the id at the profile where the player
@@ -528,7 +553,10 @@ def enumerate_equilibria(
     by offset), and `dict.fromkeys` of the keys is the memo: its keys are
     the distinct contexts in first-seen order.  The player's goal runs once
     per memo key, on the real values (one representative per id), so it
-    meets its contexts in the order a line-by-line walk would.  The keys,
+    meets its contexts in the order a line-by-line walk would.  A goal that
+    is exactly `ArgmaxCoord` is never called: its columns hold scores
+    instead of ids, and `_player_flags` compares them (subclasses, `Lex`
+    and every other goal take the memo).  The keys,
     mapped through the memo, give each line's flag string, which carries
     both concepts' verdicts (`_defections`); joined end to end, every k-th
     byte from byte j is move j's column of flags, and slice assignments
@@ -545,11 +573,15 @@ def enumerate_equilibria(
             f"{total} profiles exceed the budget of {max_profiles}"
         )
     outcomes = game.outcome_fn._tabulate(tuple(p.moves for p in game.players))
+    keyed = outcomes
+    if isinstance(game.outcomes, VectorOutcomes):
+        level = game.outcomes._level_index.__getitem__
+        keyed = [tuple(map(level, v)) for v in outcomes]
     first = {}
-    ids = list(map(first.setdefault, outcomes, count()))
+    ids = list(map(first.setdefault, keyed, count()))
     flags, block = [], total  # per player: one flag byte per profile
     for p in game.players:
-        flags.append(_player_flags(p, game.outcomes, outcomes, ids, block))
+        flags.append(_player_flags(p, game.outcomes, outcomes, keyed, ids, block))
         block //= len(p.moves)
     verdicts = _Verdicts(tuple(p.name for p in game.players))
     # a row's fields: its profile and outcome, then its decoded verdicts

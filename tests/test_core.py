@@ -33,6 +33,7 @@ from hog import (
     NonFix,
     NonFixProj,
     PreferenceOrder,
+    Preimage,
     ProductOutcomes,
     Quantifier,
     SelectionFunction,
@@ -53,7 +54,7 @@ from hog import (
 )
 from oracles import fixq_quant, max_coord_quant, max_order_quant
 from test_engine import _PicksNonMove
-from test_laws import SELECTIONS
+from test_laws import SELECTIONS, _Delegate
 
 AB = MoveSet(("A", "B"))
 ABC = MoveSet(("A", "B", "C"))
@@ -418,6 +419,17 @@ def test_closure_fixes_argmax():
     e = ArgmaxOrder(PREFER_A)
     for p in enumerate_contexts(AB, ATOMS_AB):
         assert closure_of(e)(p) == e(p)
+
+
+def test_closure_reads_its_lift_without_sorting_it(monkeypatch):
+    p = ctx(AB, ATOMS_AB, {"A": "A", "B": "A"})
+    not_a_move = _raised(lambda: p("Z"))
+    monkeypatch.setattr(Lifted, "__call__", lambda self, p: pytest.fail("sorted the lift"))
+    assert closure_of(Fix())(p) == ("A", "B")
+    assert _raised(lambda: closure_of(_PicksNonMove())(p)) == not_a_move
+    # any other quantifier is still asked for its outcomes
+    assert Preimage(_Delegate(lambda p: ("A",)))(p) == ("A", "B")
+    assert Preimage(_Delegate(lambda p: ()))(p) == ()
 
 
 def test_palette_is_total_except_target():

@@ -592,6 +592,23 @@ def test_unreachable_outcome_warning_still_yields_a_game():
     assert result.game.outcome(("B", "B", "A")) == "B"
 
 
+def test_unreachable_outcome_warning_reads_a_table_by_its_values():
+    # B is a move, so a majority would reach it; this table never yields it
+    text = (
+        "game g\nmoves P1 = { A, B }\nmoves P2 = { A, B }\n"
+        "  outcomes = { A, B, C }\n"
+        "outcome_fn = table {\n"
+        "  (A, A) -> A ; (A, B) -> C ; (B, A) -> C ; (B, B) -> A\n"
+        "}\n"
+        "player P1 = argmax(order: B < C < A)\nplayer P2 = argmax(order: B < C < A)\n"
+    )
+    result = parse_game(text)
+    assert result.ok
+    [w] = result.warnings()
+    assert (w.code, w.line, w.column) == ("unreachable-outcome", 4, 3)
+    assert w.message == "outcome value(s) never produced by the outcome function: B"
+
+
 # ---------------------------------------------------------------------------
 # rendering limits
 # ---------------------------------------------------------------------------

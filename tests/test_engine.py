@@ -712,6 +712,106 @@ def test_equal_int_and_fraction_outcomes_share_a_context():
     assert report.selection_equilibria() == (("A", "C"), ("B", "C"))
 
 
+# ---------------------------------------------------------------------------
+# argmax-coordinate players: judged by score columns, not by goal calls
+# ---------------------------------------------------------------------------
+# A goal that is exactly ArgmaxCoord skips the memo; `_counted_game` wraps
+# each goal in _Counted, a user goal, which puts it back on the memo path:
+# the reference here.
+
+# 1 and Fraction(1) are one level: equal payoffs written both ways
+_PAYOFF_POOL = (-2, Fraction(-3, 4), 0, Fraction(1, 3), 1, Fraction(1), Fraction(5, 2))
+
+
+@st.composite
+def _argmax_mixes(draw):
+    """A payoff table of 1-4 players over 1-4 moves each, and one goal per
+    player over its vector space: an exact ArgmaxCoord, a Lex of two, or a
+    user goal wrapping one, each on any coordinate."""
+    n = draw(st.integers(1, 4))
+    move_sets = [MoveSet(("a", "b", "c", "d")[: draw(st.integers(1, 4))]) for _ in range(n)]
+    pay = st.tuples(*[st.sampled_from(_PAYOFF_POOL)] * n)
+    table = {s: draw(pay) for s in _profiles(move_sets)}
+    coord = st.integers(1, n).map(ArgmaxCoord)
+    goal = st.one_of(
+        coord,
+        st.builds(Lex, coord, coord),
+        coord.map(_Counted),
+    )
+    goals = [draw(goal) for _ in range(n)]
+    return move_sets, table, goals
+
+
+def _judged_both_ways(names, move_sets, goals, table):
+    """The report of a game over `table`, checked row for row against the
+    memo path and against `evaluate_profile`."""
+    players = tuple(map(Player, names, move_sets, goals))
+    space = VectorOutcomes(len(names), tuple(set(_PAYOFF_POOL)))
+    game = Game("m", players, space, outcome_table(table))
+    report = enumerate_equilibria(game)
+    assert report.rows == enumerate_equilibria(_counted_game(game)).rows
+    for row in report.rows:
+        assert row.outcome is table[row.profile]
+        assert evaluate_profile(game, row.profile) == row
+    return report
+
+
+@settings(deadline=None)
+@given(case=_argmax_mixes())
+def test_score_columns_agree_with_the_memo_path(case):
+    move_sets, table, goals = case
+    names = [f"P{i}" for i in range(1, len(move_sets) + 1)]
+    _judged_both_ways(names, move_sets, goals, table)
+    classical = [ArgmaxCoord(i) for i in range(1, len(names) + 1)]
+    report = _judged_both_ways(names, move_sets, classical, table)
+    nash = brute_force_nash(PayoffMatrix("m", names, move_sets, table))
+    assert report.quantifier_equilibria() == report.selection_equilibria() == nash
+
+
+@dataclass(frozen=True)
+class _ArgmaxCoordSubclass(ArgmaxCoord):
+    pass
+
+
+def test_only_exact_argmax_coord_goals_skip_the_goal_call(monkeypatch):
+    calls = []
+    call = ArgmaxCoord.__call__
+
+    def recording(self, p):
+        calls.append((self.coord, p.table))
+        return call(self, p)
+
+    monkeypatch.setattr(ArgmaxCoord, "__call__", recording)
+    # payoffs from two levels, so many lines show equal contexts
+    move_sets = [("a", "b", "c"), ("x", "y"), ("p", "q", "r")]
+    entries = {
+        s: tuple((k * 7 + j * 3) % 5 // 3 for j in range(3))
+        for k, s in enumerate(product(*move_sets))
+    }
+    matrix = PayoffMatrix("two-levels", ["P1", "P2", "P3"], move_sets, entries)
+    game = classical_game(matrix)
+    report = enumerate_equilibria(game)
+    assert calls == []
+    assert report.selection_equilibria() == brute_force_nash(matrix)
+
+    # a subclass keeps the memo path: one call per distinct context, in
+    # line order
+    players = tuple(
+        Player(p.name, p.moves, _ArgmaxCoordSubclass(p.selection.coord))
+        for p in game.players
+    )
+    sub = Game(game.name, players, game.outcomes, game.outcome_fn)
+    assert enumerate_equilibria(sub).rows == report.rows
+    for i in range(sub.n):
+        seen = [table for coord, table in calls if coord == i + 1]
+        assert seen == _contexts_in_line_order(sub, i)
+
+    # and so does a single profile, whatever the goal
+    calls.clear()
+    evaluate_profile(game, next(game.profiles()))
+    assert [coord for coord, _ in calls] == [1, 2, 3]
+
+
 @dataclass(frozen=True)
 class _PicksNonMove(SelectionFunction):
     def __call__(self, p):
