@@ -543,7 +543,8 @@ def enumerate_equilibria(
     outcome equals its own, so equal outcomes share an id and each outcome
     is hashed once.  A payoff vector is keyed by its tuple of level indices
     in `VectorOutcomes` (the levels are distinct, so equal keys mean equal
-    vectors), and later steps compare small ints, never Fractions.
+    vectors), so interning and the score columns below compare small ints,
+    not Fractions.
 
     Each player's deviation lines are read as columns of ids, one per move:
     column j lists, line by line, the id at the profile where the player
@@ -575,8 +576,10 @@ def enumerate_equilibria(
     outcomes = game.outcome_fn._tabulate(tuple(p.moves for p in game.players))
     keyed = outcomes
     if isinstance(game.outcomes, VectorOutcomes):
-        level = game.outcomes._level_index.__getitem__
-        keyed = [tuple(map(level, v)) for v in outcomes]
+        # a level looked up by (numerator, denominator) hashes and compares
+        # ints, which costs far less than hashing and comparing a Fraction
+        level = {(x.numerator, x.denominator): i for i, x in enumerate(game.outcomes.levels)}
+        keyed = [tuple([level[x.numerator, x.denominator] for x in v]) for v in outcomes]
     first = {}
     ids = list(map(first.setdefault, keyed, count()))
     flags, block = [], total  # per player: one flag byte per profile
