@@ -479,10 +479,6 @@ def _move_slices(j: int, stride: int, block: int, total: int) -> list[tuple[slic
     ]
 
 
-#: maps a "score below its line's best" byte (0 or 1) to its flag byte
-_BOTH = bytes((0, 3)) + bytes(254)
-
-
 def _player_flags(
     p: Player, codomain: OutcomeSpace, outcomes: list, keyed: list, ids: list, block: int
 ) -> bytearray:
@@ -511,7 +507,7 @@ def _player_flags(
             column[line] = source[at]
     if scored:
         best = list(map(max, *columns)) if k > 1 else columns[0]
-        by_move = [bytes(map(lt, column, best)).translate(_BOTH) for column in columns]
+        by_move = [bytes(map(lt, column, best)).replace(b"\1", b"\3") for column in columns]
     else:
         keys = list(zip(*columns))
         memo = dict.fromkeys(keys)
