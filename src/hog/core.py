@@ -11,11 +11,15 @@ one call per goal and context and a goal's own lift as an unordered set.
 Canonical ordering: moves are reported in the order the move set declares
 them; outcomes are reported in the order the outcome space enumerates them.
 
-Goals read a context by position: they walk `p.table` alongside
-`p.domain.labels` and never look a move up by label.  Only code that maps
-chosen moves back to their outcomes calls the context on a move.  Every
+Goals read a context by position: each built-in goal maps an operator
+over `p.table` and `p.domain.labels` and picks its moves with
+`itertools.compress`, never looking a move up by label.  Payoffs are
+compared by level index, outcomes in `is_closed` by their index in the
+codomain, so no sweep compares `Fraction`s.  Only code that maps chosen
+moves back to their outcomes calls the context on a move.  Every
 label-to-position lookup (`MoveSet.index`, `rank`,
-`PreferenceOrder.position`) goes through a dict built on first use.
+`PreferenceOrder.position`, `VectorOutcomes._level_of`) goes through a dict
+built on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as cartesian
+from itertools import compress, product as cartesian, repeat
+from operator import attrgetter, eq, itemgetter, ne
 from typing import Iterator, Mapping, Optional, Union
 
 from .errors import (
@@ -159,12 +164,16 @@ class ProductOutcomes:
         )
 
 
+_level_key = attrgetter("numerator", "denominator")  # the same for 1 and Fraction(1)
+
+
 @dataclass(frozen=True)
 class VectorOutcomes:
     """Outcomes are payoff vectors; every coordinate ranges over `levels`.
 
-    Levels are kept as exact rationals so payoff comparisons never hit
-    float noise.
+    Levels are kept as exact rationals, sorted, so payoff comparisons never
+    hit float noise.  A payoff (an int or a `Fraction`) is found by its
+    `(numerator, denominator)` in `_level_of`, which gives its level index.
     """
 
     dim: int
@@ -194,24 +203,24 @@ class VectorOutcomes:
         return tuple(self.iter_outcomes())
 
     @cached_property
-    def _level_index(self) -> dict:
-        # ints and Fractions hash alike when equal, so either finds its level
-        return {v: i for i, v in enumerate(self.levels)}
+    def _level_of(self) -> dict:
+        # a pair of ints hashes and compares faster than a Fraction
+        return {_level_key(v): i for i, v in enumerate(self.levels)}
 
     def rank(self, value) -> int:
         base = len(self.levels)
-        idx = self._level_index
+        idx = self._level_of
         r = 0
         for v in value:
-            r = r * base + idx[v]
+            r = r * base + idx[_level_key(v)]
         return r
 
     def __contains__(self, value):
-        idx = self._level_index
+        idx = self._level_of
         return (
             isinstance(value, tuple)
             and len(value) == self.dim
-            and all(isinstance(v, (int, Fraction)) and v in idx for v in value)
+            and all(isinstance(v, (int, Fraction)) and _level_key(v) in idx for v in value)
         )
 
 
@@ -302,9 +311,14 @@ def enumerate_contexts(
         raise BudgetExceededError(
             f"{total} contexts exceed the budget of {max_contexts}"
         )
-    # every value is drawn from the codomain, so nothing needs re-checking
+    # every value is drawn from the codomain, so nothing needs re-checking:
+    # each context is built as `GameContext._trusted` builds it, from one dict
+    fields = {"domain": domain, "codomain": codomain}
     for values in cartesian(codomain.all_outcomes(), repeat=len(domain)):
-        yield GameContext._trusted(domain, codomain, values)
+        p = object.__new__(GameContext)
+        p.__dict__.update(fields)
+        p.__dict__["table"] = values
+        yield p
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +377,9 @@ class Quantifier:
         raise NotImplementedError
 
 
-def _moves_where(p: GameContext, pred) -> tuple:
-    """Moves, in domain order, whose (move, value) pair satisfies pred."""
-    return tuple(x for x, v in zip(p.domain.labels, p.table) if pred(x, v))
+def _where(p: GameContext, op, values, targets) -> tuple:
+    """Moves, in domain order, whose value passes `op` against its target."""
+    return tuple(compress(p.domain.labels, map(op, values, targets)))
 
 
 def _with_fallback(p: GameContext, chosen: tuple) -> tuple:
@@ -383,8 +397,8 @@ def _check_index(i: int, n: int):
 
 
 def _check_atoms_match(domain: MoveSet, codomain: OutcomeSpace):
-    if not isinstance(codomain, AtomOutcomes) or set(codomain.labels) != set(
-        domain.labels
+    if not isinstance(codomain, AtomOutcomes) or (
+        codomain.labels != domain.labels and set(codomain.labels) != set(domain.labels)
     ):
         raise TypeMismatchError(
             "fixpoint selection needs atom outcomes matching the moves exactly"
@@ -421,21 +435,24 @@ class ArgmaxOrder(SelectionFunction):
             ranks = list(map(self.order._position.__getitem__, p.table))
         except (KeyError, TypeError):  # an unranked value: raise as `position` does
             ranks = list(map(self.order.position, p.table))
-        best = min(ranks)
-        return tuple(x for x, r in zip(p.domain.labels, ranks) if r == best)
+        return _where(p, eq, ranks, repeat(min(ranks)))
 
 
 @dataclass(frozen=True)
 class ArgmaxCoord(SelectionFunction):
-    """Moves maximising one payoff coordinate; the shape of classical players."""
+    """Moves maximising one payoff coordinate; the shape of classical players.
+
+    Payoffs are compared by level index (`VectorOutcomes._level_of`), not as
+    `Fraction`s: levels are sorted, so the best index is the best payoff.
+    """
 
     coord: int
 
     def __call__(self, p: GameContext) -> tuple:
         _check_vector_coord(p.codomain, self.coord)
-        i = self.coord - 1
-        best = max(v[i] for v in p.table)
-        return _moves_where(p, lambda x, v: v[i] == best)
+        payoffs = map(itemgetter(self.coord - 1), p.table)
+        scores = list(map(p.codomain._level_of.__getitem__, map(_level_key, payoffs)))
+        return _where(p, eq, scores, repeat(max(scores)))
 
 
 @dataclass(frozen=True)
@@ -444,7 +461,7 @@ class Fix(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_atoms_match(p.domain, p.codomain)
-        return _with_fallback(p, _moves_where(p, lambda x, v: v == x))
+        return _with_fallback(p, _where(p, eq, p.table, p.domain.labels))
 
 
 @dataclass(frozen=True)
@@ -453,7 +470,7 @@ class NonFix(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_atoms_match(p.domain, p.codomain)
-        return _with_fallback(p, _moves_where(p, lambda x, v: v != x))
+        return _with_fallback(p, _where(p, ne, p.table, p.domain.labels))
 
 
 @dataclass(frozen=True)
@@ -464,8 +481,8 @@ class FixProj(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_product(p.codomain, self.coord)
-        i = self.coord - 1
-        return _with_fallback(p, _moves_where(p, lambda x, v: v[i] == x))
+        picks = map(itemgetter(self.coord - 1), p.table)
+        return _with_fallback(p, _where(p, eq, picks, p.domain.labels))
 
 
 @dataclass(frozen=True)
@@ -476,8 +493,8 @@ class NonFixProj(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_product(p.codomain, self.coord)
-        i = self.coord - 1
-        return _with_fallback(p, _moves_where(p, lambda x, v: v[i] != x))
+        picks = map(itemgetter(self.coord - 1), p.table)
+        return _with_fallback(p, _where(p, ne, picks, p.domain.labels))
 
 
 @dataclass(frozen=True)
@@ -486,7 +503,8 @@ class Coord(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_coord(p.codomain)
-        return _with_fallback(p, _moves_where(p, lambda x, v: len(set(v)) == 1))
+        sizes = map(len, map(set, p.table))
+        return _with_fallback(p, _where(p, eq, sizes, repeat(1)))
 
 
 @dataclass(frozen=True)
@@ -503,8 +521,8 @@ class TargetCoord(SelectionFunction):
 
     def __call__(self, p: GameContext) -> tuple:
         _check_product(p.codomain, self.coord)
-        i = self.coord - 1
-        return _moves_where(p, lambda x, v: v[i] == self.value)
+        picks = map(itemgetter(self.coord - 1), p.table)
+        return _where(p, eq, picks, repeat(self.value))
 
 
 @dataclass(frozen=True)
@@ -567,7 +585,7 @@ class Preimage(SelectionFunction):
         q = self.quantifier
         # a lift's outcomes as a set need no sort; `p(x)` still rejects a non-move
         good = set(map(p, q.selection(p))) if type(q) is Lifted else set(q(p))
-        return _moves_where(p, lambda x, v: v in good)
+        return tuple(compress(p.domain.labels, map(good.__contains__, p.table)))
 
 
 # ---------------------------------------------------------------------------
@@ -749,19 +767,27 @@ def is_closed(
 ) -> CheckResult:
     """Does choosing a move commit the player to every move with the same
     outcome?  Sweeps every context with one `e` call each; the first chosen
-    move that a left-out move shares its outcome with, and the first such move."""
-    for p in enumerate_contexts(domain, codomain, max_contexts):
+    move that a left-out move shares its outcome with, and the first such move.
+    Outcomes are compared by index in the codomain, walked beside the contexts."""
+    contexts = enumerate_contexts(domain, codomain, max_contexts)
+    for p, ids in zip(contexts, _index_tables(codomain, len(domain))):
         chosen = e(p)
         chosen_set = set(chosen)
-        left_out = {}  # outcome -> first move left out that reaches it
-        for y, w in zip(domain.labels, p.table):
+        left_out = {}  # outcome index -> first move left out that reaches it
+        for y, w in zip(domain.labels, ids):
             if y not in chosen_set:
                 left_out.setdefault(w, y)
         for x in chosen:
-            y = left_out.get(p(x))
+            y = left_out.get(ids[domain.index(x)])  # a non-move raises here
             if y is not None:
                 return CheckResult(False, ClosednessWitness(p, x, y))
     return CheckResult(True)
+
+
+def _index_tables(codomain: OutcomeSpace, n: int) -> Iterator[tuple]:
+    # a generator, so the product's pool is built only once the sweep it
+    # walks beside has passed its budget check
+    yield from cartesian(range(codomain.size()), repeat=n)
 
 
 def attains(
@@ -776,13 +802,14 @@ def attains(
     Sweeps every context; the first counterexample wins.  Per context `f`
     runs, then `e`, except when `f` is `e`'s own lift (`Lifted(e)`): every
     chosen move's outcome is approved by definition, so `e` runs alone and
-    each chosen move is only looked up, which raises on a non-move.
+    each chosen move is only looked up in `domain`, which raises on a non-move.
     """
     own = isinstance(f, Lifted) and f.selection == e
+    index = domain.index
     for p in enumerate_contexts(domain, codomain, max_contexts):
         if own:
             for x in e(p):
-                p(x)
+                index(x)
             continue
         good = set(f(p))
         for x in e(p):

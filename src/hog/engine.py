@@ -51,6 +51,7 @@ from .core import (
     ProductOutcomes,
     SelectionFunction,
     VectorOutcomes,
+    _level_key,
     check_shape,
     may_be_empty,
 )
@@ -574,8 +575,8 @@ def enumerate_equilibria(
     if isinstance(game.outcomes, VectorOutcomes):
         # a level looked up by (numerator, denominator) hashes and compares
         # ints, which costs far less than hashing and comparing a Fraction
-        level = {(x.numerator, x.denominator): i for i, x in enumerate(game.outcomes.levels)}
-        keyed = [tuple([level[x.numerator, x.denominator] for x in v]) for v in outcomes]
+        level = game.outcomes._level_of.__getitem__
+        keyed = [tuple(map(level, map(_level_key, v))) for v in outcomes]
     first = {}
     ids = list(map(first.setdefault, keyed, count()))
     flags, block = [], total  # per player: one flag byte per profile

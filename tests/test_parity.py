@@ -1,12 +1,15 @@
-"""Byte-identity gate for `hog solve` on vector (payoff-matrix) games.
+"""Byte-identity gates for `hog solve` on vector (payoff-matrix) games and
+for `hog analyze` on the builtins and the same games.
 
-Each case renders a payoff matrix to a .hog file, runs `hog solve` on it in
-one format under one concept, and compares the sha256 of its exit code,
-stdout and stderr with `parity_vector_games.json`.  A change to the solve
-kernel, the parser or the renderer that moves a single byte of output on
-these games fails here.
+Each solve case renders a payoff matrix to a .hog file, runs `hog solve` on
+it in one format under one concept, and compares the sha256 of its exit
+code, stdout and stderr with `parity_vector_games.json`.  Each analyze case
+runs `hog analyze` in one format on a builtin or a rendered matrix, those
+whose context space exceeds the budget (exit 3) included, against
+`parity_analyze.json`.  A change to the solve kernel, the law sweeps, the
+parser or the renderer that moves a single byte of output fails here.
 
-Rewrite the manifest (only when an output change is intended) with
+Rewrite both manifests (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_parity.py``.
 """
 
@@ -20,6 +23,7 @@ from pathlib import Path
 from hog import (
     MoveSet,
     PayoffMatrix,
+    builtin_names,
     classical_game,
     payoff_matrix,
     payoff_matrix_names,
@@ -28,6 +32,7 @@ from hog import (
 from hog.cli import main
 
 MANIFEST = Path(__file__).with_name("parity_vector_games.json")
+ANALYZE_MANIFEST = Path(__file__).with_name("parity_analyze.json")
 FORMATS = ("table", "json")
 CONCEPTS = ("both", "quantifier", "selection")
 
@@ -52,6 +57,19 @@ def _sources() -> dict:
     return {m.name: render_game(classical_game(m)).text for m in matrices}
 
 
+def _small_fractional_matrix() -> PayoffMatrix:
+    """2 players x 3 moves over the levels -1/2, 0, 3/2: 9 outcomes and 729
+    contexts, so `hog analyze` sweeps it rather than exiting 3."""
+    rng = random.Random(17017)
+    levels = (Fraction(-1, 2), Fraction(0), Fraction(3, 2))
+    moves = MoveSet(("a", "b", "c"))
+    entries = [
+        (s, tuple(rng.choice(levels) for _ in range(2)))
+        for s in product(moves.labels, repeat=2)
+    ]
+    return PayoffMatrix("fractional-2x3", ("P1", "P2"), (moves,) * 2, entries)
+
+
 def _digest(code: int, out: str, err: str) -> str:
     return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
 
@@ -68,6 +86,31 @@ def _run_all(workdir: Path, capture) -> dict:
     return digests
 
 
+def _analyze_all(workdir: Path, capture) -> dict:
+    """sha256 per `hog analyze` case, keyed "analyze/source/format"."""
+    sources = [(f"builtin:{n}", ["--builtin", n]) for n in builtin_names()]
+    texts = _sources()
+    m = _small_fractional_matrix()
+    texts[m.name] = render_game(classical_game(m)).text
+    for name, text in texts.items():
+        (workdir / f"{name}.hog").write_text(text)
+        sources.append((name, [f"{name}.hog"]))
+    digests = {}
+    for name, source in sources:
+        for fmt in FORMATS:
+            code = main(["analyze", *source, "--format", fmt])
+            digests[f"analyze/{name}/{fmt}"] = _digest(code, *capture())
+    return digests
+
+
+def _capsys_capture(capsys):
+    def capture():
+        c = capsys.readouterr()
+        return c.out, c.err
+
+    return capture
+
+
 def test_vector_game_output_matches_the_manifest(tmp_path, monkeypatch, capsys):
     # a relative path keeps the file name in any diagnostic independent of tmp_path
     monkeypatch.chdir(tmp_path)
@@ -79,6 +122,23 @@ def test_vector_game_output_matches_the_manifest(tmp_path, monkeypatch, capsys):
     expected = json.loads(MANIFEST.read_text())
     assert len(expected) == 8 * len(FORMATS) * len(CONCEPTS)
     assert _run_all(tmp_path, capture) == expected
+
+
+def test_analyze_output_matches_the_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(ANALYZE_MANIFEST.read_text())
+    assert len(expected) == (9 + 9) * len(FORMATS)
+    assert _analyze_all(tmp_path, _capsys_capture(capsys)) == expected
+
+
+def test_the_analyze_cases_sweep_fractional_levels_and_exit_3(tmp_path, capsys):
+    path = tmp_path / "g.hog"
+    path.write_text(render_game(classical_game(_small_fractional_matrix())).text)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert [r["closed"] for r in json.loads(capsys.readouterr().out)["players"]] == [True] * 2
+    path.write_text(_sources()["generated-3x6"])
+    assert main(["analyze", str(path)]) == 3
+    assert "contexts exceed the budget" in capsys.readouterr().err
 
 
 def test_the_cases_reach_the_vector_and_comma_joined_renderings(tmp_path, capsys):
@@ -110,6 +170,10 @@ if __name__ == "__main__":
             return texts
 
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            digests = _run_all(Path(tmp), capture)
-    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {MANIFEST}")
+            manifests = {
+                MANIFEST: _run_all(Path(tmp), capture),
+                ANALYZE_MANIFEST: _analyze_all(Path(tmp), capture),
+            }
+    for path, digests in manifests.items():
+        path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} digests to {path}")
