@@ -103,14 +103,6 @@ def _analyze_all(workdir: Path, capture) -> dict:
     return digests
 
 
-def _capsys_capture(capsys):
-    def capture():
-        c = capsys.readouterr()
-        return c.out, c.err
-
-    return capture
-
-
 def test_vector_game_output_matches_the_manifest(tmp_path, monkeypatch, capsys):
     # a relative path keeps the file name in any diagnostic independent of tmp_path
     monkeypatch.chdir(tmp_path)
@@ -126,9 +118,14 @@ def test_vector_game_output_matches_the_manifest(tmp_path, monkeypatch, capsys):
 
 def test_analyze_output_matches_the_manifest(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+
+    def capture():
+        c = capsys.readouterr()
+        return c.out, c.err
+
     expected = json.loads(ANALYZE_MANIFEST.read_text())
     assert len(expected) == (9 + 9) * len(FORMATS)
-    assert _analyze_all(tmp_path, _capsys_capture(capsys)) == expected
+    assert _analyze_all(tmp_path, capture) == expected
 
 
 def test_the_analyze_cases_sweep_fractional_levels_and_exit_3(tmp_path, capsys):
