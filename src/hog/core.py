@@ -802,13 +802,22 @@ def attains(
     Sweeps every context; the first counterexample wins.  Per context `f`
     runs, then `e`, except when `f` is `e`'s own lift (`Lifted(e)`): every
     chosen move's outcome is approved by definition, so `e` runs alone and
-    each chosen move is only looked up in `domain`, which raises on a non-move.
+    its choice is only checked to be moves: as a subset of `domain`, or, when
+    that fails or cannot hash, move by move in `domain`, which raises on a
+    non-move.
     """
     own = isinstance(f, Lifted) and f.selection == e
     index = domain.index
+    moves = frozenset(domain.labels)
     for p in enumerate_contexts(domain, codomain, max_contexts):
         if own:
-            for x in e(p):
+            chosen = e(p)
+            try:
+                if moves.issuperset(chosen):
+                    continue
+            except TypeError:
+                pass
+            for x in chosen:
                 index(x)
             continue
         good = set(f(p))

@@ -5,10 +5,12 @@ one `game` line, one `moves` line per player (their order fixes player
 order), one `outcomes` line, one `outcome_fn` line, and one `player` line
 per declared move set.  Newlines are soft inside braces and parentheses,
 so outcome tables can span lines.  The text is read into statements in
-one pass.  `parse_game` never returns a partially valid game: either every
-check passes or you get located diagnostics.  A statement stops at its
-first syntax error but still counts as declared, so it adds no follow-on
-"missing" errors.
+one pass.  A well-formed table entry on one line is read as one token;
+the table reader takes it whole, and any other read splits it into its
+plain tokens, so no diagnostic depends on it.  `parse_game` never returns
+a partially valid game: either every check passes or you get located
+diagnostics.  A statement stops at its first syntax error but still
+counts as declared, so it adds no follow-on "missing" errors.
 """
 
 from __future__ import annotations
@@ -83,19 +85,33 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
-_IDENT_RE = re.compile(_IDENT)
 
-_TOKEN_RE = re.compile(
-    r"""[ \t\r]+ | \#[^\n]*
-      | (?P<NEWLINE>\n)
-      | (?P<ARROW>->)
-      | (?P<NUMBER>-?\d+(?:/\d+)?)
-      | (?P<IDENT>""" + _IDENT + r""")
-      | (?P<PUNCT>[{}(),;:=<])
-      | (?P<BAD>.)
-    """,
-    re.VERBOSE,
+#: One token per match; whitespace and comments match no group.
+_PLAIN = (
+    r"[ \t\r]+",
+    r"\#[^\n]*",
+    r"(?P<NEWLINE>\n)",
+    r"(?P<ARROW>->)",
+    r"(?P<NUMBER>-?\d+(?:/\d+)?)",
+    rf"(?P<IDENT>{_IDENT})",
+    r"(?P<PUNCT>[{}(),;:=<])",
+    r"(?P<BAD>.)",
 )
+
+# A well-formed table entry on one line, `(labels) -> value`, where the value
+# is a label, a label tuple, or a tuple of numbers with nonzero denominators.
+_S = r"[ \t\r]*"
+_LABELS = rf"\({_S}{_IDENT}(?:{_S},{_S}{_IDENT})*{_S}\)"
+_RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"
+_ENTRY = (
+    rf"{_LABELS}{_S}->{_S}"
+    rf"(?:{_IDENT}|{_LABELS}|\({_S}{_RATIONAL}(?:{_S},{_S}{_RATIONAL})*{_S}\))"
+)
+
+# Patterns are compiled on first use through `re`'s cache, so importing the
+# module compiles none of them.
+_PLAIN_RE = "|".join(_PLAIN)
+_TOKEN_RE = "|".join((f"(?P<ENTRY>{_ENTRY})",) + _PLAIN)
 
 
 class _Token(NamedTuple):
@@ -115,7 +131,9 @@ MAX_SELECTION_DEPTH = 100
 def _statements(text: str, diags: list) -> list[list[_Token]]:
     """The token lists of the statements in `text`, read in one pass.
 
-    Whitespace and comments make no token.  A newline ends a statement only
+    Whitespace and comments make no token.  A well-formed table entry on one
+    line is one ENTRY token; it holds no newline and its brackets balance,
+    so it counts as its plain tokens would.  A newline ends a statement only
     outside brackets.  A run of unexpected characters is reported once;
     inside brackets only the run is skipped, at top level the rest of its line.
     """
@@ -124,7 +142,7 @@ def _statements(text: str, diags: list) -> list[list[_Token]]:
     stack: list[_Token] = []
     line, line_start = 1, 0
     skipping, bad_end = False, -1
-    for m in _TOKEN_RE.finditer(text):
+    for m in re.finditer(_TOKEN_RE, text):
         kind = m.lastgroup
         if kind is None:
             continue
@@ -163,14 +181,48 @@ class _Stop(Exception):
     """A diagnostic has been recorded; abandon the statement or table entry."""
 
 
+class _Numbers(dict):
+    """Number spelling -> its Fraction, each built once per parse."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = Fraction(text)
+        return value
+
+
+def _plain_tokens(entry: _Token) -> list[_Token]:
+    """An ENTRY token as the plain tokens of its text, at their own columns."""
+    return [
+        _Token(m.lastgroup, m.group(), entry.line, entry.column + m.start())
+        for m in re.finditer(_PLAIN_RE, entry.text)
+        if m.lastgroup
+    ]
+
+
 class _Cursor:
-    def __init__(self, tokens: list[_Token], diags: list):
+    """Reads one statement's tokens.  Only `entry` sees an ENTRY token whole;
+    every other read first splits it into its plain tokens, in place."""
+
+    def __init__(self, tokens: list[_Token], diags: list, numbers: _Numbers):
         self.tokens = tokens
         self.i = 0
         self.diags = diags
+        self.numbers = numbers
 
     def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        if self.i >= len(self.tokens):
+            return None
+        tok = self.tokens[self.i]
+        if tok.kind == "ENTRY":
+            self.tokens[self.i : self.i + 1] = _plain_tokens(tok)
+            tok = self.tokens[self.i]
+        return tok
+
+    def entry(self) -> Optional[_Token]:
+        """Take the ENTRY token at the cursor, if there is one."""
+        if self.i < len(self.tokens) and self.tokens[self.i].kind == "ENTRY":
+            self.i += 1
+            return self.tokens[self.i - 1]
+        return None
 
     def advance(self) -> Optional[_Token]:
         tok = self.peek()
@@ -357,7 +409,7 @@ def _render_selexpr(sel: SelectionFunction) -> str:
 
 def _fraction(cur: _Cursor, tok: _Token) -> Fraction:
     try:
-        return Fraction(tok.text)
+        return cur.numbers[tok.text]
     except ZeroDivisionError:
         cur.fail(f"{tok.text} has a zero denominator", tok=tok)
 
@@ -390,17 +442,33 @@ def _table_entry(cur: _Cursor):
     return profile, _table_value(cur), head
 
 
+def _entry(tok: _Token, numbers: _Numbers):
+    """An ENTRY token as (profile, value, head), the token itself the head."""
+    profile, value = tok.text.split("->")
+    profile = tuple(map(str.strip, profile.rstrip()[1:-1].split(",")))
+    value = value.strip()
+    if value[0] == "(":
+        value = tuple(map(str.strip, value[1:-1].split(",")))
+        if value[0][0] in "-0123456789":
+            value = tuple(map(numbers.__getitem__, value))
+    return profile, value, tok
+
+
 def _table(cur: _Cursor):
     """`{ entry ; ... }` as (entries, closing token).
 
-    A bad entry is reported and skipped up to the next ';' or '}', so later
+    An ENTRY token is read whole; any other entry token by token.  A bad
+    entry is reported and skipped up to the next ';' or '}', so later
     entries still get checked.
     """
     cur.expect("'{'", "PUNCT", "{")
     entries = []
-    while not cur.at("PUNCT", "}"):
+    while True:
+        tok = cur.entry()
+        if tok is None and cur.at("PUNCT", "}"):
+            break
         try:
-            entries.append(_table_entry(cur))
+            entries.append(_entry(tok, cur.numbers) if tok else _table_entry(cur))
         except _Stop:
             depth = 0
             while True:
@@ -508,9 +576,10 @@ def parse_game(src) -> ParseResult:
     text = src.text if isinstance(src, GameSource) else src
     diags: list[ParseDiagnostic] = []
     decl: dict = {}
+    numbers = _Numbers()
     for tokens in _statements(text, diags):
         try:
-            _statement(_Cursor(tokens, diags), decl)
+            _statement(_Cursor(tokens, diags, numbers), decl)
         except _Stop:
             pass
 
@@ -621,7 +690,7 @@ def parse_file(path) -> ParseResult:
 
 
 def _require_ident(text: str, what: str) -> str:
-    if not isinstance(text, str) or _IDENT_RE.fullmatch(text) is None:
+    if not isinstance(text, str) or re.fullmatch(_IDENT, text) is None:
         raise RenderError(f"{what} {text!r} cannot be written in the text format")
     return text
 

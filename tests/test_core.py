@@ -544,6 +544,27 @@ def test_attains_looks_up_every_chosen_move_under_any_quantifier():
     assert _raised(lambda: attains(e, Lifted(Fix()), AB, ATOMS_AB)) == not_a_move
 
 
+class _Picks(SelectionFunction):
+    """A user goal that picks the same moves, or non-moves, in every context."""
+
+    def __init__(self, chosen):
+        self.chosen = chosen
+
+    def __call__(self, p):
+        return self.chosen
+
+
+def test_attains_under_its_own_lift_checks_an_unhashable_choice_move_by_move():
+    e = _Picks(("A", ["A"]))
+    not_a_move = _raised(lambda: GameContext(AB, ATOMS_AB, ("A", "B"))(["A"]))
+    assert not_a_move[0] is ValueError
+    assert _raised(lambda: attains(e, lift_selection(e), AB, ATOMS_AB)) == not_a_move
+    # moves pass whatever container holds them
+    for chosen in (("B", "A"), ["A"], ()):
+        e = _Picks(chosen)
+        assert attains(e, lift_selection(e), AB, ATOMS_AB).holds
+
+
 def test_is_closed_calls_the_goal_once_per_context_up_to_the_witness():
     log = []
     tables = _tables(ABC, ATOMS_ABC)

@@ -835,3 +835,112 @@ def test_the_cli_maps_any_document_to_exit_0_2_or_3(text):
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
             code = main(["solve", str(path), "--max-profiles", "1000"])
     assert code in (0, 2, 3), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one-token table entries against the plain token stream
+# ---------------------------------------------------------------------------
+
+_ENTRY_GAPS = ["", "  ", "\t", "\r", "\n", " # note\n", "\n\n  "]
+_ENTRY_CELLS = ["1", "0", "-1", "1/2", "2/4", "-3/4", "007", "1/02"]
+_ENTRY_ZEROS = ["1/0", "-3/00", "0/0"]
+_ENTRY_EDITS = ["(", ")", "->", ";", "#", "1/0", "\n", "(a, b) -> c", "(a) -> b", "$"]
+_ENTRY_FRAGMENTS = ["(a) -> b", "(a, b) -> (1, 2)", "(a, b) -> (a, b)"]
+_ENTRY_SHAPES = {
+    "atoms": ("{ a, b }", ["fix", "argmax(order: a < b)", "nonfix"]),
+    "moves": ("moves", ["coord", "fix(coord: 1)", "lex(target(coord: 2, value: b), coord)"]),
+    "vectors": ("vectors 2", ["argmax(coord: 1)", "argmax(coord: 2)"]),
+}
+
+
+@st.composite
+def _table_documents(draw):
+    """A two-player table game over {a, b}, its entries written on one line
+    or over several, bent by comments, zero denominators, mixed values,
+    missing ';', unknown labels, entry fragments outside the table, and
+    token edits.  Each bend is drawn with a set chance, so that about a
+    third of the documents still parse."""
+
+    def pick(choices):
+        return draw(st.sampled_from(choices))
+
+    def chance(percent):
+        return draw(st.integers(0, 99)) < percent
+
+    shape = pick(list(_ENTRY_SHAPES))
+    parts = ["game g", "\n", "moves P1 = { a, b }", "\n", "moves P2 = { a, b }", "\n"]
+    parts += [f"outcomes = {_ENTRY_SHAPES[shape][0]}", "\n", "outcome_fn = table {", "\n"]
+    for k, profile in enumerate([("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]):
+        if chance(5):
+            profile = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3))
+        kind = pick(list(_ENTRY_SHAPES) + ["mixed"]) if chance(8) else shape
+        if kind == "atoms":
+            value = [pick(["a", "b", "c"]) if chance(10) else pick(["a", "b"])]
+        elif kind == "moves":
+            value = ["(", pick(["a", "b"]), ",", pick(["a", "b", "c"]) if chance(10) else "b", ")"]
+        else:
+            cells = [pick(_ENTRY_ZEROS) if chance(4) else pick(_ENTRY_CELLS)
+                     for _ in range(pick([1, 3]) if chance(5) else 2)]
+            if kind == "mixed":
+                cells[draw(st.integers(0, len(cells) - 1))] = "a"
+            value = ["(", *" , ".join(cells).split(), ")"]
+        if k:
+            parts += ["" if chance(5) else pick([" ;", ";", " ; # note"]), "\n  "]
+        bent = chance(20)
+        for tok in ["(", *" , ".join(profile).split(), ")", "->", *value]:
+            parts += [tok, pick(_ENTRY_GAPS) if bent and chance(30) else " "]
+    parts += ["\n", "}", "\n"]
+    for name in ("P1", "P2"):
+        parts += [f"player {name} = {pick(_ENTRY_SHAPES[shape][1])}", "\n"]
+    if chance(15):
+        # a fragment after, or in place of, a goal or a moves line, or on its own line
+        fragment = pick(_ENTRY_FRAGMENTS)
+        where = pick(["after", "instead", "line"])
+        i = pick([2, 4, len(parts) - 4, len(parts) - 2])
+        if where == "after":
+            parts[i] += " " + fragment
+        elif where == "instead":
+            parts[i] = parts[i].split("=")[0] + "= " + fragment
+        else:
+            parts.insert(i, fragment + "\n")
+    for _ in range(pick([1, 2]) if chance(25) else 0):
+        i = draw(st.integers(0, len(parts) - 1))
+        edit = pick(["insert", "delete", "replace"])
+        if edit == "delete":
+            del parts[i]
+        elif edit == "insert":
+            parts.insert(i, pick(_ENTRY_EDITS))
+        else:
+            parts[i] = pick(_ENTRY_EDITS)
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_table_documents())
+def test_one_token_entries_parse_as_their_plain_tokens_do(text):
+    from unittest import mock
+
+    from hog import dsl
+
+    result = parse_game(text)
+    with mock.patch.object(dsl, "_TOKEN_RE", dsl._PLAIN_RE):
+        plain = parse_game(text)
+    assert result.diagnostics == plain.diagnostics
+    assert result.game == plain.game
+
+
+def test_one_line_entries_are_read_as_one_token_and_the_rest_token_by_token():
+    from hog import dsl
+
+    def entries(text):
+        return [t.text for s in dsl._statements(text, []) for t in s if t.kind == "ENTRY"]
+
+    matrix = render_game(classical_game(payoff_matrix(payoff_matrix_names()[0]))).text
+    assert len(entries(matrix)) == matrix.count("->")
+    one_line = ["(a) -> b", "(a,b)->(a, b)", "(a, b) -> (-1, 1/2, 007)", "(a)\t->\r(1/02)"]
+    assert entries(" ".join(one_line)) == one_line
+    token_by_token = [
+        "(a) ->\nb", "(a, # note\n b) -> c", "(a) -> (1/0)", "(a) -> (-3/00, 1)",
+        "(a) -> (1, b)", "(a) -> (b, 1)", "(a, 1) -> b", "(a) -> ()", "(a) -> $", "(a -> b",
+    ]
+    assert all(entries(text) == [] for text in token_by_token)
