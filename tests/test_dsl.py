@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from hog import (
     render_game,
     tabulate,
 )
+from hog import dsl
 from hog.cli import main
 from hog.dsl import MAX_SELECTION_DEPTH
 from test_engine import _majority_games
@@ -918,10 +920,6 @@ def _table_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=_table_documents())
 def test_one_token_entries_parse_as_their_plain_tokens_do(text):
-    from unittest import mock
-
-    from hog import dsl
-
     result = parse_game(text)
     with mock.patch.object(dsl, "_TOKEN_RE", dsl._PLAIN_RE):
         plain = parse_game(text)
@@ -930,8 +928,6 @@ def test_one_token_entries_parse_as_their_plain_tokens_do(text):
 
 
 def test_one_line_entries_are_read_as_one_token_and_the_rest_token_by_token():
-    from hog import dsl
-
     def entries(text):
         return [t.text for s in dsl._statements(text, []) for t in s if t.kind == "ENTRY"]
 
