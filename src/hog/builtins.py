@@ -158,11 +158,8 @@ def _matrix(name, players, move_sets, payoff) -> PayoffMatrix:
     return PayoffMatrix(name, players, move_sets, entries)
 
 
-def _winner(profile) -> str:
-    return "A" if profile.count("A") >= 2 else "B"
-
-
 def _build_matrices() -> dict[str, PayoffMatrix]:
+    winner = majority_rule()  # the rule the voting games are played under
     ab = MoveSet(("A", "B"))
     judges = ("J1", "J2", "J3")
     eg = MoveSet(("E", "G"))
@@ -180,9 +177,9 @@ def _build_matrices() -> dict[str, PayoffMatrix]:
             judges,
             (ab, ab, ab),
             lambda s: (
-                int(_winner(s) == "A"),
-                int(s[1] == _winner(s)),
-                int(s[2] == _winner(s)),
+                int(winner(s) == "A"),
+                int(s[1] == winner(s)),
+                int(s[2] == winner(s)),
             ),
         ),
         _matrix(
@@ -190,22 +187,22 @@ def _build_matrices() -> dict[str, PayoffMatrix]:
             judges,
             (ab, ab, ab),
             lambda s: (
-                int(_winner(s) == "A"),
-                int(_winner(s) == "A"),
-                int(_winner(s) == "B"),
+                int(winner(s) == "A"),
+                int(winner(s) == "A"),
+                int(winner(s) == "B"),
             ),
         ),
         _matrix(
             "voting-allfix",
             judges,
             (ab, ab, ab),
-            lambda s: tuple(int(x == _winner(s)) for x in s),
+            lambda s: tuple(int(x == winner(s)) for x in s),
         ),
         _matrix(
             "voting-allpunk",
             judges,
             (ab, ab, ab),
-            lambda s: tuple(int(x != _winner(s)) for x in s),
+            lambda s: tuple(int(x != winner(s)) for x in s),
         ),
         _matrix(
             "meeting-ny",

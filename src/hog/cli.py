@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -272,7 +273,14 @@ def cmd_list(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader gone early must show here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early: not an input error.  As Python's `signal`
+        # docs advise, point stdout at devnull so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

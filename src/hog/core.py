@@ -18,8 +18,8 @@ compared by level index, outcomes in `is_closed` by their index in the
 codomain, so no sweep compares `Fraction`s.  Only code that maps chosen
 moves back to their outcomes calls the context on a move.  Every
 label-to-position lookup (`MoveSet.index`, `rank`,
-`PreferenceOrder.position`, `VectorOutcomes._level_of`) goes through a dict
-built on first use.
+`PreferenceOrder.position`, and `VectorOutcomes._level_indices`, which every
+payoff-to-level lookup goes through) reads a dict built on first use.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product as cartesian, repeat
+from itertools import chain, compress, product as cartesian, repeat
 from operator import attrgetter, eq, itemgetter, ne
 from typing import Iterator, Mapping, Optional, Union
 
@@ -172,8 +172,11 @@ class VectorOutcomes:
     """Outcomes are payoff vectors; every coordinate ranges over `levels`.
 
     Levels are kept as exact rationals, sorted, so payoff comparisons never
-    hit float noise.  A payoff (an int or a `Fraction`) is found by its
+    hit float noise.  This class is the one owner of the payoff-to-level
+    rule: a payoff (an int or a `Fraction`) is found by its
     `(numerator, denominator)` in `_level_of`, which gives its level index.
+    `_level_indices` looks payoffs up in bulk for `rank`, `ArgmaxCoord` and
+    the solve kernel; `_from_table` builds the space a payoff table needs.
     """
 
     dim: int
@@ -202,25 +205,35 @@ class VectorOutcomes:
     def all_outcomes(self) -> tuple[tuple, ...]:
         return tuple(self.iter_outcomes())
 
+    @classmethod
+    def _from_table(cls, dim: int, vectors) -> "VectorOutcomes":
+        """The space whose levels are the distinct payoffs of `vectors`;
+        equal payoffs however written (`1`, `Fraction(1)`, `2/2`) are one level."""
+        payoffs = list(chain.from_iterable(vectors))
+        return cls(dim, tuple(dict(zip(map(_level_key, payoffs), payoffs)).values()))
+
     @cached_property
     def _level_of(self) -> dict:
         # a pair of ints hashes and compares faster than a Fraction
         return {_level_key(v): i for i, v in enumerate(self.levels)}
 
+    def _level_indices(self, payoffs) -> list:
+        """The level index of each payoff, in order; KeyError for a non-level."""
+        return list(map(self._level_of.__getitem__, map(_level_key, payoffs)))
+
     def rank(self, value) -> int:
         base = len(self.levels)
-        idx = self._level_of
         r = 0
-        for v in value:
-            r = r * base + idx[_level_key(v)]
+        for i in self._level_indices(value):
+            r = r * base + i
         return r
 
     def __contains__(self, value):
-        idx = self._level_of
         return (
             isinstance(value, tuple)
             and len(value) == self.dim
-            and all(isinstance(v, (int, Fraction)) and _level_key(v) in idx for v in value)
+            and all(map(isinstance, value, repeat((int, Fraction))))
+            and all(map(self._level_of.__contains__, map(_level_key, value)))
         )
 
 
@@ -442,16 +455,16 @@ class ArgmaxOrder(SelectionFunction):
 class ArgmaxCoord(SelectionFunction):
     """Moves maximising one payoff coordinate; the shape of classical players.
 
-    Payoffs are compared by level index (`VectorOutcomes._level_of`), not as
-    `Fraction`s: levels are sorted, so the best index is the best payoff.
+    Payoffs are compared by level index (`VectorOutcomes._level_indices`),
+    not as `Fraction`s: levels are sorted, so the best index is the best
+    payoff.
     """
 
     coord: int
 
     def __call__(self, p: GameContext) -> tuple:
         _check_vector_coord(p.codomain, self.coord)
-        payoffs = map(itemgetter(self.coord - 1), p.table)
-        scores = list(map(p.codomain._level_of.__getitem__, map(_level_key, payoffs)))
+        scores = p.codomain._level_indices(map(itemgetter(self.coord - 1), p.table))
         return _where(p, eq, scores, repeat(max(scores)))
 
 

@@ -15,11 +15,12 @@ counts as declared, so it adds no follow-on "missing" errors.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     ArgmaxCoord,
@@ -181,14 +182,6 @@ class _Stop(Exception):
     """A diagnostic has been recorded; abandon the statement or table entry."""
 
 
-class _Numbers(dict):
-    """Number spelling -> its Fraction, each built once per parse."""
-
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = Fraction(text)
-        return value
-
-
 def _plain_tokens(entry: _Token) -> list[_Token]:
     """An ENTRY token as the plain tokens of its text, at their own columns."""
     return [
@@ -202,7 +195,7 @@ class _Cursor:
     """Reads one statement's tokens.  Only `entry` sees an ENTRY token whole;
     every other read first splits it into its plain tokens, in place."""
 
-    def __init__(self, tokens: list[_Token], diags: list, numbers: _Numbers):
+    def __init__(self, tokens: list[_Token], diags: list, numbers: Callable[[str], Fraction]):
         self.tokens = tokens
         self.i = 0
         self.diags = diags
@@ -409,7 +402,7 @@ def _render_selexpr(sel: SelectionFunction) -> str:
 
 def _fraction(cur: _Cursor, tok: _Token) -> Fraction:
     try:
-        return cur.numbers[tok.text]
+        return cur.numbers(tok.text)
     except ZeroDivisionError:
         cur.fail(f"{tok.text} has a zero denominator", tok=tok)
 
@@ -442,7 +435,7 @@ def _table_entry(cur: _Cursor):
     return profile, _table_value(cur), head
 
 
-def _entry(tok: _Token, numbers: _Numbers):
+def _entry(tok: _Token, numbers: Callable[[str], Fraction]):
     """An ENTRY token as (profile, value, head), the token itself the head."""
     profile, value = tok.text.split("->")
     profile = tuple(map(str.strip, profile.rstrip()[1:-1].split(",")))
@@ -450,7 +443,7 @@ def _entry(tok: _Token, numbers: _Numbers):
     if value[0] == "(":
         value = tuple(map(str.strip, value[1:-1].split(",")))
         if value[0][0] in "-0123456789":
-            value = tuple(map(numbers.__getitem__, value))
+            value = tuple(map(numbers, value))
     return profile, value, tok
 
 
@@ -576,7 +569,7 @@ def parse_game(src) -> ParseResult:
     text = src.text if isinstance(src, GameSource) else src
     diags: list[ParseDiagnostic] = []
     decl: dict = {}
-    numbers = _Numbers()
+    numbers = functools.cache(Fraction)  # number spelling -> its Fraction, once per parse
     for tokens in _statements(text, diags):
         try:
             _statement(_Cursor(tokens, diags, numbers), decl)
@@ -639,8 +632,7 @@ def parse_game(src) -> ParseResult:
             )
         if failed():
             return finish()
-        levels = {v for _, value, _ in entries for v in value}
-        outcomes = VectorOutcomes(shape, tuple(sorted(levels)))
+        outcomes = VectorOutcomes._from_table(shape, (value for _, value, _ in entries))
 
     # Game is the validator; its problems are only located here
     fn = OutcomeFunction(kind, tuple((profile, value) for profile, value, _ in entries))
@@ -696,15 +688,12 @@ def _require_ident(text: str, what: str) -> str:
 
 
 def _render_value(value) -> str:
+    """A label, a tuple of labels, or a payoff vector, as the table spells it."""
     if isinstance(value, str):
         return _require_ident(value, "outcome value")
-    parts = []
-    for v in value:
-        if isinstance(v, str):
-            parts.append(_require_ident(v, "outcome value"))
-        else:
-            parts.append(str(Fraction(v)))
-    return "(%s)" % ", ".join(parts)
+    if isinstance(value, tuple):
+        return "(%s)" % ", ".join(map(_render_value, value))
+    return str(Fraction(value))  # one payoff
 
 
 def render_game(g: Game) -> GameSource:
@@ -737,8 +726,8 @@ def render_game(g: Game) -> GameSource:
     else:
         if g.outcome_fn.kind != "table":
             raise RenderError("vector outcomes can only be written with a table")
-        used = {v for _, pay in g.outcome_fn.entries for v in pay}
-        if used != set(g.outcomes.levels):
+        pays = (pay for _, pay in g.outcome_fn.entries)
+        if VectorOutcomes._from_table(g.outcomes.dim, pays) != g.outcomes:
             raise RenderError(
                 "payoff levels are not recoverable from the outcome table"
             )
@@ -746,12 +735,9 @@ def render_game(g: Game) -> GameSource:
 
     if g.outcome_fn.kind == "table":
         lines.append("outcome_fn = table {")
+        # a profile's labels are moves, each checked on its `moves` line
         rows = [
-            "  (%s) -> %s"
-            % (
-                ", ".join(_require_ident(x, "move label") for x in profile),
-                _render_value(value),
-            )
+            f"  ({', '.join(profile)}) -> {_render_value(value)}"
             for profile, value in g.outcome_fn.entries
         ]
         lines.extend(row + " ;" for row in rows[:-1])

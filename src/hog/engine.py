@@ -38,8 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, starmap, product as cartesian
-from operator import add, itemgetter, lt
+from itertools import chain, compress, count, starmap, product as cartesian
+from operator import add, lt
 from typing import Iterator, Mapping, Optional
 
 from .core import (
@@ -51,7 +51,6 @@ from .core import (
     ProductOutcomes,
     SelectionFunction,
     VectorOutcomes,
-    _level_key,
     check_shape,
     may_be_empty,
 )
@@ -481,27 +480,29 @@ def _move_slices(j: int, stride: int, block: int, total: int) -> list[tuple[slic
 
 
 def _player_flags(
-    p: Player, codomain: OutcomeSpace, outcomes: list, keyed: list, ids: list, block: int
+    p: Player, codomain: OutcomeSpace, outcomes: list, levels: Optional[list],
+    ids: list, block: int,
 ) -> bytearray:
     """Player p's flags, one byte per profile, laid out as `_defections` says.
 
-    `outcomes` is the outcome table, `keyed` each outcome's intern key (for
-    vector outcomes its tuple of level indices) and `ids` the interned
-    table, in which an id is the index of a profile with that outcome;
-    `block` is the product of the move counts of p and every later player.
+    `outcomes` is the outcome table, `levels` (vector outcomes only) the
+    level index of every payoff of the table, flattened profile by profile,
+    and `ids` the interned table, in which an id is the index of a profile
+    with that outcome; `block` is the product of the move counts of p and
+    every later player.
 
     A goal that is exactly `ArgmaxCoord` (so `Game` has checked that the
     outcomes are vectors) is never called: its columns hold each move's
-    score, the level index of its payoff coordinate, and a move whose score
-    is below the best on its line fails both concepts (flag byte 3) while
-    every other move passes both.  Every other goal runs once per distinct
-    key.
+    score, the level index of its payoff coordinate, read from `levels` as
+    one slice, and a move whose score is below the best on its line fails
+    both concepts (flag byte 3) while every other move passes both.  Every
+    other goal runs once per distinct key.
     """
     total, k = len(ids), len(p.moves)
     stride = block // k
     where = [_move_slices(j, stride, block, total) for j in range(k)]
     scored = type(p.selection) is ArgmaxCoord
-    source = list(map(itemgetter(p.selection.coord - 1), keyed)) if scored else ids
+    source = levels[p.selection.coord - 1 :: codomain.dim] if scored else ids
     columns = [[0] * (total // k) for _ in range(k)]
     for column, pairs in zip(columns, where):
         for at, line in pairs:
@@ -538,10 +539,12 @@ def enumerate_equilibria(
     last digit is the last player's move.  The outcomes are interned to int
     ids in one pass: a profile's id is the index of the first profile whose
     outcome equals its own, so equal outcomes share an id and each outcome
-    is hashed once.  A payoff vector is keyed by its tuple of level indices
-    in `VectorOutcomes` (the levels are distinct, so equal keys mean equal
-    vectors), so interning and the score columns below compare small ints,
-    not Fractions.
+    is hashed once.  For vector outcomes every payoff of the table is looked
+    up once, in bulk, by `VectorOutcomes._level_indices`, into one flat list
+    of level indices, profile by profile; a payoff vector is keyed by its
+    tuple of level indices, zipped from that list's coordinate slices (the
+    levels are distinct, so equal keys mean equal vectors).  So interning
+    and the score columns below compare small ints, not Fractions.
 
     Each player's deviation lines are read as columns of ids, one per move:
     column j lists, line by line, the id at the profile where the player
@@ -552,9 +555,10 @@ def enumerate_equilibria(
     the distinct contexts in first-seen order.  The player's goal runs once
     per memo key, on the real values (one representative per id), so it
     meets its contexts in the order a line-by-line walk would.  A goal that
-    is exactly `ArgmaxCoord` is never called: its columns hold scores
-    instead of ids, and `_player_flags` compares them (subclasses, `Lex`
-    and every other goal take the memo).  The keys,
+    is exactly `ArgmaxCoord` is never called: its columns hold scores, read
+    from the flat level list as the slice of its coordinate, instead of
+    ids, and `_player_flags` compares them (subclasses, `Lex` and every
+    other goal take the memo).  The keys,
     mapped through the memo, give each line's flag string, which carries
     both concepts' verdicts (`_defections`); joined end to end, every k-th
     byte from byte j is move j's column of flags, and slice assignments
@@ -571,17 +575,17 @@ def enumerate_equilibria(
             f"{total} profiles exceed the budget of {max_profiles}"
         )
     outcomes = game.outcome_fn._tabulate(tuple(p.moves for p in game.players))
-    keyed = outcomes
+    keys, levels = outcomes, None
     if isinstance(game.outcomes, VectorOutcomes):
-        # a level looked up by (numerator, denominator) hashes and compares
-        # ints, which costs far less than hashing and comparing a Fraction
-        level = game.outcomes._level_of.__getitem__
-        keyed = [tuple(map(level, map(_level_key, v))) for v in outcomes]
+        # level indices hash and compare as ints, far cheaper than Fractions
+        dim = game.outcomes.dim
+        levels = game.outcomes._level_indices(chain.from_iterable(outcomes))
+        keys = zip(*(levels[c::dim] for c in range(dim)))
     first = {}
-    ids = list(map(first.setdefault, keyed, count()))
+    ids = list(map(first.setdefault, keys, count()))
     flags, block = [], total  # per player: one flag byte per profile
     for p in game.players:
-        flags.append(_player_flags(p, game.outcomes, outcomes, keyed, ids, block))
+        flags.append(_player_flags(p, game.outcomes, outcomes, levels, ids, block))
         block //= len(p.moves)
     verdicts = _Verdicts(tuple(p.name for p in game.players))
     # a row's fields: its profile and outcome, then its decoded verdicts
@@ -642,8 +646,8 @@ class PayoffMatrix:
 
 def classical_game(matrix: PayoffMatrix, name: Optional[str] = None) -> Game:
     """Recast a payoff matrix as a game of payoff-maximising players."""
-    levels = sorted({v for _, pay in matrix.entries for v in pay})
-    outcomes = VectorOutcomes(len(matrix.players), tuple(levels))
+    payoffs = (pay for _, pay in matrix.entries)
+    outcomes = VectorOutcomes._from_table(len(matrix.players), payoffs)
     players = tuple(
         Player(nm, ms, ArgmaxCoord(i))
         for i, (nm, ms) in enumerate(zip(matrix.players, matrix.move_sets), start=1)

@@ -21,6 +21,7 @@ from hog import (
     enumerate_contexts,
     is_closed,
     majority_rule,
+    render_game,
 )
 from hog.cli import main
 from test_engine import _Counted
@@ -433,6 +434,34 @@ def test_nonpositive_budget_is_an_input_error(capsys):
         capsys, "solve", "--builtin", "voting-keynes", "--max-profiles", "0"
     )
     assert code == 2 and err != ""
+
+
+def test_a_broken_invariant_is_an_internal_error(capsys, monkeypatch):
+    def broken(game, max_profiles):
+        raise RuntimeError("the sweep lost a row")
+
+    monkeypatch.setattr(hog.cli, "enumerate_equilibria", broken)
+    code, out, err = run(capsys, "solve", "--builtin", "voting-keynes")
+    assert (code, out, err) == (4, "", "internal error: the sweep lost a row\n")
+
+
+def test_a_reader_that_stops_early_is_not_an_input_error(tmp_path):
+    # 8192 rows, far more than a pipe holds, so the writer meets the closed end
+    ab = MoveSet(("A", "B"))
+    voters = tuple(Player(f"J{i}", ab, Fix()) for i in range(1, 14))
+    game = Game("v13", voters, AtomOutcomes(("A", "B")), majority_rule())
+    path = tmp_path / "v13.hog"
+    path.write_text(render_game(game).text)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hog.cli", "solve", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert proc.stdout.readline().startswith(b"Strategy")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_console_script_is_wired_up(tmp_path):

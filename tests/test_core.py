@@ -160,6 +160,8 @@ def test_outcome_space_invariants():
         VectorOutcomes(0, (0, 1))
     with pytest.raises(ValueError):
         VectorOutcomes(2, (1, 1))
+    with pytest.raises(ValueError, match="vector outcomes need at least one level"):
+        VectorOutcomes(2, ())
     with pytest.raises(ValueError):
         ProductOutcomes(())
 
@@ -616,6 +618,13 @@ def test_check_shape_rejects_incompatible_pairs():
         check_shape(ArgmaxOrder(PreferenceOrder(("A", "B", "C"))), AB, ATOMS_AB)
     with pytest.raises(TypeMismatchError):
         check_shape(Lex(Fix(), Coord()), AB, ATOMS_AB)
+    row = next(enumerate_contexts(AB, ATOMS_AB))
+    with pytest.raises(TypeMismatchError, match="row built over different spaces"):
+        check_shape(TableSelection(((row, ("A",)),)), AB, ATOMS_ABC)
+    with pytest.raises(TypeMismatchError, match="picks unknown move 'C'"):
+        check_shape(TableSelection(((row, ("C",)),)), AB, ATOMS_AB)
+    with pytest.raises(TypeError, match="not a selection function or quantifier"):
+        check_shape(lambda p: p.domain.labels, AB, ATOMS_AB)
 
 
 def test_check_shape_rejects_a_table_selection_that_misses_contexts():

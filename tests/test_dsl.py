@@ -5,6 +5,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hog import (
+    ArgmaxCoord,
     ArgmaxOrder,
     AtomOutcomes,
     Coord,
@@ -21,6 +23,7 @@ from hog import (
     GameSource,
     HogError,
     MoveSet,
+    PayoffMatrix,
     Player,
     PreferenceOrder,
     ProductOutcomes,
@@ -127,6 +130,26 @@ player P2 = argmax(coord: 2)
     assert report.quantifier_equilibria() == (("H", "H"), ("T", "T"))
 
 
+def test_a_payoff_is_one_level_however_it_is_written():
+    ms = MoveSet(("x", "y"))
+    payoffs = {
+        ("x", "x"): (1, Fraction(1)),
+        ("x", "y"): (Fraction(2, 2), 0),
+        ("y", "x"): (0, 1),
+        ("y", "y"): (Fraction(1), Fraction(2, 2)),
+    }
+    matrix = PayoffMatrix("m", ("P1", "P2"), (ms, ms), payoffs)
+    assert classical_game(matrix).outcomes.levels == (Fraction(0), Fraction(1))
+    text = (
+        "game g\nmoves P1 = { x, y }\noutcomes = vectors 2\n"
+        "outcome_fn = table { (x) -> (1, 2/2) ; (y) -> (2/2, 1) }\n"
+        "player P1 = argmax(coord: 1)\n"
+    )
+    result = parse_game(text)
+    assert result.ok, errors(result)
+    assert result.game.outcomes.levels == (Fraction(1),)
+
+
 def test_diagnostics_render_with_position_and_severity():
     result = parse_game("game x\nmoves P1 = { A, A }\n")
     texts = [str(d) for d in result.diagnostics]
@@ -206,6 +229,34 @@ def test_unknown_selection_constructor():
     )
     result = parse_game(text)
     assert any(d.code == "unknown-constructor" for d in result.errors())
+
+
+WORD_ERRORS = {
+    "unknown-outcome-fn": (
+        "plurality", "fix",
+        ("6:14: error: unknown outcome function 'plurality'", "unknown-constructor"),
+    ),
+    "unknown-goal": (
+        "majority", "minimax",
+        ("7:13: error: unknown selection constructor 'minimax'", "unknown-constructor"),
+    ),
+    "order-repeats-a-label": (
+        "majority", "argmax(order: B < A < B)",
+        ("7:35: error: label 'B' appears twice in the order", "duplicate"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WORD_ERRORS)
+def test_bad_words_in_a_statement_are_located(case):
+    fn, goal, expected = WORD_ERRORS[case]
+    text = (
+        "game g\nmoves P1 = { A, B }\nmoves P2 = { A, B }\nmoves P3 = { A, B }\n"
+        f"outcomes = {{ A, B }}\noutcome_fn = {fn}\n"
+        f"player P1 = {goal}\nplayer P2 = fix\nplayer P3 = fix\n"
+    )
+    result = parse_game(text)
+    assert [(str(d), d.code) for d in result.diagnostics] == [expected]
 
 
 def test_selection_nesting_is_bounded():
@@ -654,6 +705,53 @@ def test_rendering_rejects_orders_over_unspellable_values():
         render_game(g)
 
 
+def _argmax_pair(levels, payoff):
+    ms = MoveSet(("x", "y"))
+    players = (Player("P1", ms, ArgmaxCoord(1)), Player("P2", ms, ArgmaxCoord(2)))
+    table = outcome_table([(s, payoff(s)) for s in product(ms, ms)])
+    return Game("g", players, VectorOutcomes(2, levels), table)
+
+
+def _without_a_table():
+    game = _argmax_pair((0, 1), lambda s: (int(s[0] == "x"), 1))
+    # Game admits no such game; forge one to reach render_game's own guard
+    object.__setattr__(game, "outcome_fn", identity_rule())
+    return game
+
+
+def _foreign_product():
+    ms, wide = MoveSet(("x", "y")), MoveSet(("x", "y", "z"))
+    players = (Player("P1", ms, Coord()), Player("P2", ms, Coord()))
+    table = outcome_table([(s, s) for s in product(ms, ms)])
+    return Game("g", players, ProductOutcomes((wide, wide)), table)
+
+
+UNWRITABLE_SPACES = {
+    "unused-level": (
+        lambda: _argmax_pair((0, 1, 2), lambda s: (int(s[0] == "x"), 1)),
+        "payoff levels are not recoverable from the outcome table",
+    ),
+    "no-table": (_without_a_table, "vector outcomes can only be written with a table"),
+    "foreign-product": (
+        _foreign_product, "only the product of the players' own move sets can be written"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_SPACES)
+def test_rendering_rejects_outcome_spaces_it_cannot_write(case):
+    build, message = UNWRITABLE_SPACES[case]
+    with pytest.raises(RenderError) as raised:
+        render_game(build())
+    assert str(raised.value) == message
+
+
+def test_rendering_writes_a_level_once_however_the_table_spells_it():
+    game = _argmax_pair((0, 1), lambda s: (Fraction(2, 2) if s[0] == "x" else 0, 1))
+    assert game.outcome(("x", "x")) == (Fraction(1), 1)
+    assert parse_game(render_game(game)).game == game
+
+
 def test_game_source_text_survives_a_round_trip():
     src = render_game(builtin("bos-agreement"))
     assert isinstance(src, GameSource)
@@ -745,13 +843,26 @@ INVALID_GAMES = [
         ),
         6, "player W: this goal can reject every move; give it a fallback inside lex(...)",
     ),
+    (
+        "game g\nmoves P1 = { A, B }\nmoves P2 = { A, B }\nmoves P3 = { A, B }\n"
+        "outcomes = moves\noutcome_fn = majority\n"
+        "player P1 = coord\nplayer P2 = coord\nplayer P3 = coord\n",
+        (
+            tuple(Player(n, _AB, Coord()) for n in ("P1", "P2", "P3")),
+            ProductOutcomes((_AB, _AB, _AB)), majority_rule(),
+        ),
+        6, "majority rule needs atom outcomes",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "text, parts, line, message",
     INVALID_GAMES,
-    ids=["voter-AC", "winner-outside", "identity-atoms", "partial", "duplicate", "bare-target"],
+    ids=[
+        "voter-AC", "winner-outside", "identity-atoms", "partial", "duplicate",
+        "bare-target", "majority-moves",
+    ],
 )
 def test_game_and_parser_reject_alike(text, parts, line, message):
     with pytest.raises((HogError, ValueError)) as raised:

@@ -917,6 +917,46 @@ def test_game_rejects_identity_on_mismatched_space():
         Game("g", players, space, identity_rule())
 
 
+MALFORMED_PARTS = {
+    "unknown-kind": (
+        lambda: OutcomeFunction("plurality"),
+        ValueError, "unknown outcome function kind 'plurality'",
+    ),
+    "entries-off-table": (
+        lambda: OutcomeFunction("majority", [(("A",), "A")]),
+        ValueError, "majority outcome functions take no entries",
+    ),
+    "unlisted-profile": (
+        lambda: outcome_table([(("A",), "A")])(("B",)),
+        InvalidProfileError, "no outcome listed for profile ('B',)",
+    ),
+    "no-players": (
+        lambda: Game("g", (), AtomOutcomes(("A", "B")), majority_rule()),
+        ValueError, "a game needs at least one player",
+    ),
+    "matrix-move-sets": (
+        lambda: PayoffMatrix("m", ("P1", "P2"), (("a", "b"),), []),
+        ValueError, "one move set per player, please",
+    ),
+    "matrix-names": (
+        lambda: PayoffMatrix("m", ("P1", "P1"), (("a",), ("b",)), []),
+        ValueError, "duplicate player names in ('P1', 'P1')",
+    ),
+    "matrix-payoff": (
+        lambda: payoff_matrix("meeting-ny").payoff(("E", "X")),
+        InvalidProfileError, "no payoffs for profile ('E', 'X')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PARTS)
+def test_malformed_parts_are_rejected_with_their_own_message(case):
+    build, error, message = MALFORMED_PARTS[case]
+    with pytest.raises(Exception) as raised:
+        build()
+    assert (type(raised.value), str(raised.value)) == (error, message)
+
+
 def test_outcome_table_entries_are_canonicalized():
     space = AtomOutcomes(("A", "B"))
     players = (Player("P1", AB, Fix()), Player("P2", AB, Fix()))
