@@ -3,12 +3,14 @@
 Each entry pairs a ready-made Game with a one-line note saying what the
 game is about.  The payoff-matrix forms of the games that have one are
 kept alongside, so the classical bridge can be exercised against known
-matrices and not only random ones.
+matrices and not only random ones.  A voting game and its payoff twin are
+both built from one list of judges, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
 from itertools import product as cartesian
+from operator import eq, ne
 
 from .core import (
     ArgmaxOrder,
@@ -34,17 +36,27 @@ from .engine import (
 )
 from .errors import UnknownBuiltinError
 
-_prefers_a = ArgmaxOrder(PreferenceOrder(("A", "B")))
-_prefers_b = ArgmaxOrder(PreferenceOrder(("B", "A")))
+# A voting judge is their goal in the voting games paired with
+# `met(vote, winner)`, which says whether their own vote and the majority
+# winner meet that goal; the payoff twin pays 1 where it is met, else 0.
+_ELECTS_A = (ArgmaxOrder(PreferenceOrder(("A", "B"))), lambda vote, winner: winner == "A")
+_ELECTS_B = (ArgmaxOrder(PreferenceOrder(("B", "A"))), lambda vote, winner: winner == "B")
+_SIDES_WITH_WINNER = (Fix(), eq)
+_DEFIES_WINNER = (NonFix(), ne)
+
+_JUDGES = {
+    "voting-intro": (_ELECTS_A, _SIDES_WITH_WINNER, _SIDES_WITH_WINNER),
+    "voting-classical": (_ELECTS_A, _ELECTS_A, _ELECTS_B),
+    "voting-keynes": (_ELECTS_A, _SIDES_WITH_WINNER, _SIDES_WITH_WINNER),
+    "voting-allfix": (_SIDES_WITH_WINNER,) * 3,
+    "voting-allpunk": (_DEFIES_WINNER,) * 3,
+}
+_VOTES = MoveSet(("A", "B"))
+_JUDGE_NAMES = ("J1", "J2", "J3")
 
 
-def _majority_game(name: str, s1, s2, s3) -> Game:
-    moves = MoveSet(("A", "B"))
-    players = (
-        Player("J1", moves, s1),
-        Player("J2", moves, s2),
-        Player("J3", moves, s3),
-    )
+def _voting_game(name: str) -> Game:
+    players = [Player(j, _VOTES, goal) for j, (goal, _) in zip(_JUDGE_NAMES, _JUDGES[name])]
     return Game(name, players, AtomOutcomes(("A", "B")), majority_rule())
 
 
@@ -81,26 +93,26 @@ def _bos_agreement() -> Game:
 
 CATALOG: dict[str, tuple[Game, str]] = {
     "voting-intro": (
-        _majority_game("voting-intro", _prefers_a, Fix(), Fix()),
+        _voting_game("voting-intro"),
         "Three judges vote A or B, majority wins; J1 wants A elected, "
         "J2 and J3 want to have voted for the winner.",
     ),
     "voting-classical": (
-        _majority_game("voting-classical", _prefers_a, _prefers_a, _prefers_b),
+        _voting_game("voting-classical"),
         "Majority vote where every judge cares only about who wins: "
         "J1 and J2 back A, J3 backs B.",
     ),
     "voting-keynes": (
-        _majority_game("voting-keynes", _prefers_a, Fix(), Fix()),
+        _voting_game("voting-keynes"),
         "Majority vote; J1 wants A to win while J2 and J3 just want to "
         "side with whoever wins.",
     ),
     "voting-allfix": (
-        _majority_game("voting-allfix", Fix(), Fix(), Fix()),
+        _voting_game("voting-allfix"),
         "Majority vote where all three judges want to have voted for the winner.",
     ),
     "voting-allpunk": (
-        _majority_game("voting-allpunk", NonFix(), NonFix(), NonFix()),
+        _voting_game("voting-allpunk"),
         "Majority vote where all three judges want to have voted against the winner.",
     ),
     "meeting-ny": (
@@ -158,10 +170,16 @@ def _matrix(name, players, move_sets, payoff) -> PayoffMatrix:
     return PayoffMatrix(name, players, move_sets, entries)
 
 
+def _voting_twin(name: str) -> PayoffMatrix:
+    judges, winner = _JUDGES[name], majority_rule()
+
+    def payoff(s):
+        return tuple(int(met(vote, winner(s))) for vote, (_, met) in zip(s, judges))
+
+    return _matrix(name, _JUDGE_NAMES, (_VOTES,) * 3, payoff)
+
+
 def _build_matrices() -> dict[str, PayoffMatrix]:
-    winner = majority_rule()  # the rule the voting games are played under
-    ab = MoveSet(("A", "B"))
-    judges = ("J1", "J2", "J3")
     eg = MoveSet(("E", "G"))
     ht = MoveSet(("H", "T"))
     bf = MoveSet(("B", "F"))
@@ -171,39 +189,9 @@ def _build_matrices() -> dict[str, PayoffMatrix]:
         ("F", "B"): (0, 0),
         ("F", "F"): (2, 3),
     }
+    voting = ("voting-intro", "voting-classical", "voting-allfix", "voting-allpunk")
     matrices = (
-        _matrix(
-            "voting-intro",
-            judges,
-            (ab, ab, ab),
-            lambda s: (
-                int(winner(s) == "A"),
-                int(s[1] == winner(s)),
-                int(s[2] == winner(s)),
-            ),
-        ),
-        _matrix(
-            "voting-classical",
-            judges,
-            (ab, ab, ab),
-            lambda s: (
-                int(winner(s) == "A"),
-                int(winner(s) == "A"),
-                int(winner(s) == "B"),
-            ),
-        ),
-        _matrix(
-            "voting-allfix",
-            judges,
-            (ab, ab, ab),
-            lambda s: tuple(int(x == winner(s)) for x in s),
-        ),
-        _matrix(
-            "voting-allpunk",
-            judges,
-            (ab, ab, ab),
-            lambda s: tuple(int(x != winner(s)) for x in s),
-        ),
+        *map(_voting_twin, voting),
         _matrix(
             "meeting-ny",
             ("P1", "P2"),

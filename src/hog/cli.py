@@ -8,6 +8,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .builtins import builtin, builtin_names, builtin_note
 from .core import DEFAULT_CONTEXT_BUDGET, is_closed
@@ -155,7 +156,10 @@ def _print_report(args, doc: dict, key: str, columns, items) -> None:
     if args.format == "json":
         fields = [(k, value) for _, _, k, _, value in columns]
         doc[key] = [{k: value(it) for k, value in fields} for it in items]
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
+        chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(doc)
+        # joined batches: neither the whole text in memory nor a write per chunk
+        sys.stdout.writelines(iter(lambda: "".join(islice(chunks, 4096)), ""))
+        print()
         return
     cells = [cell for _, _, _, cell, _ in columns]
     lines = [[header for _, header, _, _, _ in columns]]

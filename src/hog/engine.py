@@ -6,26 +6,50 @@ checking is by definition chasing: for each player build the unilateral
 context (what they could steer the outcome to, everyone else held fixed)
 and ask their selection function, or its lift, whether the profile stands.
 
+How `enumerate_equilibria` sweeps.  Profile k is entry k of one flat
+list, a mixed-radix number whose last digit is the last player's move.
 Profiles that differ only in player i's move form a deviation line, and
-every profile on it hands player i the same context.  The sweep therefore
-tabulates every profile's outcome once (a majority winner over few labels
-is decoded once per distinct tally of votes; other outcome functions are
-called once per profile) and interns the outcomes to int ids (equal
-outcomes, one id; a payoff vector is interned by its tuple of level
-indices, not by its Fractions).  For each player it slices that table into
-one column of ids per move, zips the columns into the lines' keys, and
-takes `dict.fromkeys` of the keys as the memo: the player's goal runs once
-per distinct key, and that one call judges the line under both concepts:
-each move gets one flag byte, bit 0 a quantifier and bit 1 a selection
-defection.  The flags go back to the lines through the memo and from
-there, by slice assignment, to every profile.  Memo keys and verdicts
-compare ids, so no outcome is hashed after interning; goals still see the
-real values.  A player whose goal is exactly `ArgmaxCoord` skips the memo
-and the goal: their columns hold each move's level index in their payoff
-coordinate, and a move below its line's best fails both concepts (the
-goal is closed, so the two verdicts agree).  A single profile is judged by
-walking just the n lines through it, calling every goal.  Both decode a
-profile's flag bytes the same way.
+every profile on it hands player i the same context.
+
+1. Tabulate (`OutcomeFunction._tabulate`).  A majority winner over few
+   labels is decoded once per distinct tally of votes; other outcome
+   functions are called once per profile.
+2. Intern.  A profile's id is the index of the first profile whose
+   outcome equals its own, so equal outcomes share an id and each outcome
+   is hashed once.  A payoff vector is keyed by its tuple of level
+   indices, not by its Fractions: `VectorOutcomes._level_indices` looks
+   every payoff of the table up once, in bulk, into one flat list of level
+   indices, profile by profile, and the keys zip that list's coordinate
+   slices (the levels are distinct, so equal keys mean equal vectors).
+3. Sweep, player by player (`_player_flags`).  Column j lists, line by
+   line, the id at the profile where the player plays move j;
+   `_move_slices` says where those sit, so the columns are filled by slice
+   assignment.  Zipping the columns gives every line's key, in line order
+   (block by block, then offset by offset), and `dict.fromkeys` of the
+   keys is the memo.  The goal runs once per memo key, on the real values
+   (one representative per id), so it meets its contexts in the order a
+   line-by-line walk would, and that one call judges the line under both
+   concepts (`_defections`): each move gets one flag byte, bit 0 a
+   quantifier and bit 1 a selection defection.  The keys, mapped through
+   the memo and joined end to end, give every line's flag string; every
+   k-th byte from byte j is move j's column of flags, and slice
+   assignments write each column back to one `bytearray` per player in
+   profile order.  Memo keys and verdicts compare ids, so no outcome is
+   hashed after interning.
+   A goal that is exactly `ArgmaxCoord` (so `Game` has checked that the
+   outcomes are vectors) takes the score path: it is never called, and no
+   memo is built.  Its columns hold each move's score, the level index of
+   its payoff coordinate, read from the flat level list as one slice.  A
+   move whose score is below the best on its line fails both concepts
+   (flag byte 3; the goal is closed, so the two verdicts agree) and every
+   other move passes both.  Subclasses, `Lex` and every other goal take
+   the memo.
+4. Rows zip the players' flags profile by profile and decode each tuple
+   of flag bytes through one `_Verdicts`, so equal tuples share one entry.
+   Rows hold each profile's outcome as the outcome function returned it.
+
+`evaluate_profile` judges a single profile by walking just the n lines
+through it, calling every goal, and decodes its flag bytes the same way.
 
 The classical layer (payoff matrices, argmax players, brute-force Nash)
 exists so the general machinery can be cross-checked against ordinary
@@ -38,9 +62,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, starmap, product as cartesian
+from itertools import chain, compress, count, product as cartesian
 from operator import add, lt
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
     ArgmaxCoord,
@@ -351,8 +375,7 @@ def unilateral_context(game: Game, profile, i: int) -> GameContext:
     return GameContext(moves, game.outcomes, values)
 
 
-@dataclass(frozen=True)
-class ProfileResult:
+class ProfileResult(NamedTuple):
     """Verdicts for one strategy profile under both equilibrium notions."""
 
     profile: tuple
@@ -491,12 +514,9 @@ def _player_flags(
     with that outcome; `block` is the product of the move counts of p and
     every later player.
 
-    A goal that is exactly `ArgmaxCoord` (so `Game` has checked that the
-    outcomes are vectors) is never called: its columns hold each move's
-    score, the level index of its payoff coordinate, read from `levels` as
-    one slice, and a move whose score is below the best on its line fails
-    both concepts (flag byte 3) while every other move passes both.  Every
-    other goal runs once per distinct key.
+    A goal that is exactly `ArgmaxCoord` takes the score path (see the
+    module docstring) and is never called; every other goal runs once per
+    distinct line key.
     """
     total, k = len(ids), len(p.moves)
     stride = block // k
@@ -529,45 +549,13 @@ def _player_flags(
 def enumerate_equilibria(
     game: Game, max_profiles: int = DEFAULT_PROFILE_BUDGET
 ) -> EquilibriumReport:
-    """Judge every profile; profiles appear in lexicographic order.
+    """Judge every profile; rows appear in lexicographic profile order
+    (mixed radix, last player fastest).
 
-    After the budget check, `OutcomeFunction._tabulate` gives every
-    profile's outcome: a majority winner over few labels is decoded once
-    per distinct vote count, and other outcome functions are called once
-    per profile.  Profile k
-    sits at index k of the flat outcome list, a mixed-radix number whose
-    last digit is the last player's move.  The outcomes are interned to int
-    ids in one pass: a profile's id is the index of the first profile whose
-    outcome equals its own, so equal outcomes share an id and each outcome
-    is hashed once.  For vector outcomes every payoff of the table is looked
-    up once, in bulk, by `VectorOutcomes._level_indices`, into one flat list
-    of level indices, profile by profile; a payoff vector is keyed by its
-    tuple of level indices, zipped from that list's coordinate slices (the
-    levels are distinct, so equal keys mean equal vectors).  So interning
-    and the score columns below compare small ints, not Fractions.
-
-    Each player's deviation lines are read as columns of ids, one per move:
-    column j lists, line by line, the id at the profile where the player
-    plays move j.  `_move_slices` says where those sit, so the columns are
-    filled by slice assignment.  Zipping the columns gives every line's
-    key, the tuple of its ids, in line order (block by block, then offset
-    by offset), and `dict.fromkeys` of the keys is the memo: its keys are
-    the distinct contexts in first-seen order.  The player's goal runs once
-    per memo key, on the real values (one representative per id), so it
-    meets its contexts in the order a line-by-line walk would.  A goal that
-    is exactly `ArgmaxCoord` is never called: its columns hold scores, read
-    from the flat level list as the slice of its coordinate, instead of
-    ids, and `_player_flags` compares them (subclasses, `Lex` and every
-    other goal take the memo).  The keys,
-    mapped through the memo, give each line's flag string, which carries
-    both concepts' verdicts (`_defections`); joined end to end, every k-th
-    byte from byte j is move j's column of flags, and slice assignments
-    write each column back to one `bytearray` per player in profile order.
-
-    Rows zip the players' flags profile by profile and decode each tuple of
-    flag bytes through one `_Verdicts`, so equal tuples share one entry:
-    both verdicts and both tuples of defector names.  Rows hold each
-    profile's outcome as the outcome function returned it.
+    Raises `BudgetExceededError`, before any outcome is computed, when the
+    game has more than `max_profiles` profiles.  Each player's goal runs
+    once per distinct context that player meets, in first-seen order, and
+    an exact `ArgmaxCoord` goal not at all; the module docstring says how.
     """
     total = game.profile_count()
     if total > max_profiles:
@@ -590,7 +578,7 @@ def enumerate_equilibria(
     verdicts = _Verdicts(tuple(p.name for p in game.players))
     # a row's fields: its profile and outcome, then its decoded verdicts
     fields = map(add, zip(game.profiles(), outcomes), map(verdicts.__getitem__, zip(*flags)))
-    return EquilibriumReport(game, tuple(starmap(ProfileResult, fields)))
+    return EquilibriumReport(game, tuple(map(ProfileResult._make, fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +632,7 @@ class PayoffMatrix:
             raise InvalidProfileError(f"no payoffs for profile {profile!r}") from None
 
 
-def classical_game(matrix: PayoffMatrix, name: Optional[str] = None) -> Game:
+def classical_game(matrix: PayoffMatrix) -> Game:
     """Recast a payoff matrix as a game of payoff-maximising players."""
     payoffs = (pay for _, pay in matrix.entries)
     outcomes = VectorOutcomes._from_table(len(matrix.players), payoffs)
@@ -652,7 +640,7 @@ def classical_game(matrix: PayoffMatrix, name: Optional[str] = None) -> Game:
         Player(nm, ms, ArgmaxCoord(i))
         for i, (nm, ms) in enumerate(zip(matrix.players, matrix.move_sets), start=1)
     )
-    return Game(name or matrix.name, players, outcomes, outcome_table(matrix.entries))
+    return Game(matrix.name, players, outcomes, outcome_table(matrix.entries))
 
 
 def brute_force_nash(matrix: PayoffMatrix) -> tuple:

@@ -434,6 +434,10 @@ def test_nonpositive_budget_is_an_input_error(capsys):
         capsys, "solve", "--builtin", "voting-keynes", "--max-profiles", "0"
     )
     assert code == 2 and err != ""
+    code, out, err = run(
+        capsys, "analyze", "--builtin", "voting-keynes", "--max-contexts", "0"
+    )
+    assert (code, out, err) == (2, "", "error: budgets must be positive\n")
 
 
 def test_a_broken_invariant_is_an_internal_error(capsys, monkeypatch):
