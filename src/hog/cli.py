@@ -30,28 +30,12 @@ class _InputError(Exception):
     pass
 
 
-def _add_common_flags(p: argparse.ArgumentParser, budget: str) -> None:
-    # `budget` is the flag the command reads; the other is still accepted and
-    # checked, but hidden from --help
+def _add_common_flags(p: argparse.ArgumentParser, budget: str, default: int, about: str) -> None:
+    # `budget` is the command's one sweep bound, read back as `args.budget`
     p.add_argument("file", nargs="?", help="a .hog game file")
     p.add_argument("--builtin", metavar="NAME", help="use a preset game instead of a file")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument(
-        "--max-profiles",
-        type=int,
-        default=DEFAULT_PROFILE_BUDGET,
-        metavar="N",
-        help="abort instead of sweeping more strategy profiles than this"
-        if budget == "--max-profiles" else argparse.SUPPRESS,
-    )
-    p.add_argument(
-        "--max-contexts",
-        type=int,
-        default=DEFAULT_CONTEXT_BUDGET,
-        metavar="N",
-        help="abort instead of sweeping more game contexts than this"
-        if budget == "--max-contexts" else argparse.SUPPRESS,
-    )
+    p.add_argument(budget, dest="budget", type=int, default=default, metavar="N", help=about)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="enumerate both kinds of equilibria")
-    _add_common_flags(solve, "--max-profiles")
+    _add_common_flags(solve, "--max-profiles", DEFAULT_PROFILE_BUDGET,
+                      "abort instead of sweeping more strategy profiles than this")
     solve.add_argument(
         "--concept",
         choices=("selection", "quantifier", "both"),
@@ -80,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="closedness and attainment checks, player by player"
     )
-    _add_common_flags(analyze, "--max-contexts")
+    _add_common_flags(analyze, "--max-contexts", DEFAULT_CONTEXT_BUDGET,
+                      "abort instead of sweeping more game contexts than this")
     analyze.set_defaults(func=cmd_analyze)
 
     lst = sub.add_parser("list", help="available preset games")
@@ -92,7 +78,7 @@ _parser = functools.cache(build_parser)  # one tree per process, for `main`
 
 
 def _load_game(args) -> Game:
-    if args.max_profiles < 1 or args.max_contexts < 1:
+    if args.budget < 1:
         raise _InputError("budgets must be positive")
     if args.builtin and args.file:
         raise _InputError("give a game file or --builtin, not both")
@@ -203,7 +189,7 @@ def cmd_solve(args) -> int:
         profile = tuple(x.strip() for x in args.profile.split(","))
         rows = (evaluate_profile(game, profile),)
     else:
-        report = enumerate_equilibria(game, max_profiles=args.max_profiles)
+        report = enumerate_equilibria(game, max_profiles=args.budget)
         rows = report.rows
         for concept in ("quantifier", "selection"):
             if args.format == "json" and _chosen(args.concept, concept):
@@ -253,7 +239,7 @@ def cmd_analyze(args) -> int:
     """
     game = _load_game(args)
     results = [
-        (p.name, is_closed(p.selection, p.moves, game.outcomes, args.max_contexts))
+        (p.name, is_closed(p.selection, p.moves, game.outcomes, args.budget))
         for p in game.players
     ]
     doc = {"schema_version": 1, "game": game.name, "players": None}

@@ -350,13 +350,15 @@ def test_list_mentions_every_builtin(capsys):
 
 
 def test_solving_a_file_matches_the_builtin(tmp_path, capsys):
-    from hog import builtin, render_game
+    from hog import builtin, builtin_names, render_game
 
-    path = tmp_path / "keynes.hog"
-    path.write_text(render_game(builtin("voting-keynes")).text)
-    code, out, err = run(capsys, "solve", str(path))
-    assert (code, err) == (0, "")
-    assert out == KEYNES_TABLE
+    for name in builtin_names():
+        path = tmp_path / f"{name}.hog"
+        path.write_text(render_game(builtin(name)).text)
+        for fmt in ("table", "json"):
+            from_file = run(capsys, "solve", str(path), "--format", fmt)
+            from_name = run(capsys, "solve", "--builtin", name, "--format", fmt)
+            assert from_file == from_name and from_file[0] == 0, (name, fmt)
 
 
 def test_vector_game_cells_show_payoff_tuples(tmp_path, capsys):
@@ -438,6 +440,17 @@ def test_nonpositive_budget_is_an_input_error(capsys):
         capsys, "analyze", "--builtin", "voting-keynes", "--max-contexts", "0"
     )
     assert (code, out, err) == (2, "", "error: budgets must be positive\n")
+
+
+def test_each_command_takes_only_its_own_budget_flag(capsys):
+    for argv in (
+        ("solve", "--builtin", "voting-keynes", "--max-contexts", "5"),
+        ("analyze", "--builtin", "voting-keynes", "--max-profiles", "5"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_a_broken_invariant_is_an_internal_error(capsys, monkeypatch):
