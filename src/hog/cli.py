@@ -60,17 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="m1,m2,...",
         help="judge a single strategy profile instead of sweeping all of them",
     )
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(func=cmd_solve, parser=solve)
 
     analyze = sub.add_parser(
         "analyze", help="closedness and attainment checks, player by player"
     )
     _add_common_flags(analyze, "--max-contexts", DEFAULT_CONTEXT_BUDGET,
                       "abort instead of sweeping more game contexts than this")
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(func=cmd_analyze, parser=analyze)
 
     lst = sub.add_parser("list", help="available preset games")
-    lst.set_defaults(func=cmd_list)
+    lst.set_defaults(func=cmd_list, parser=lst)
     return ap
 
 
@@ -261,7 +261,10 @@ def cmd_list(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        # reported by the command's own parser, so its usage line shows
+        args.parser.error("unrecognized arguments: " + " ".join(extra))
     try:
         status = args.func(args)
         sys.stdout.flush()  # a reader gone early must show here, not at exit

@@ -14,36 +14,54 @@ every profile on it hands player i the same context.
 1. Tabulate (`OutcomeFunction._tabulate`).  A majority winner over few
    labels is decoded once per distinct tally of votes; other outcome
    functions are called once per profile.
-2. Intern.  A profile's id is the index of the first profile whose
-   outcome equals its own, so equal outcomes share an id and each outcome
-   is hashed once.  A payoff vector is keyed by its tuple of level
-   indices, not by its Fractions: `VectorOutcomes._level_indices` looks
-   every payoff of the table up once, in bulk, into one flat list of level
-   indices, profile by profile, and the keys zip that list's coordinate
-   slices (the levels are distinct, so equal keys mean equal vectors).
+2. Intern.  Equal outcomes share a dense id, 0..D-1 in order of first
+   appearance, and `by_id` keeps one representative outcome per id (the
+   first profile's), so each outcome is hashed once.  With at most 256
+   ids, `ids`, one id per profile, is a `bytes`; else a list.  A payoff
+   vector is keyed by its tuple of level indices, not by its Fractions:
+   `VectorOutcomes._level_indices` looks every payoff of the table up
+   once, in bulk, into one flat list of level indices, profile by profile,
+   and the keys zip that list's coordinate slices (the levels are
+   distinct, so equal keys mean equal vectors).  When every player takes
+   the score path (below), no ids are needed and none are made.
 3. Sweep, player by player (`_player_flags`).  Column j lists, line by
    line, the id at the profile where the player plays move j;
    `_move_slices` says where those sit, so the columns are filled by slice
-   assignment.  Zipping the columns gives every line's key, in line order
-   (block by block, then offset by offset), and `dict.fromkeys` of the
-   keys is the memo.  The goal runs once per memo key, on the real values
-   (one representative per id), so it meets its contexts in the order a
-   line-by-line walk would, and that one call judges the line under both
+   assignment.  A line's ids are its key: equal keys mean equal contexts.
+   The goal runs once per distinct key, on the real values (`by_id`), in
+   the order a line-by-line walk (block by block, then offset by offset)
+   first meets them, and that one call judges the line under both
    concepts (`_defections`): each move gets one flag byte, bit 0 a
-   quantifier and bit 1 a selection defection.  The keys, mapped through
-   the memo and joined end to end, give every line's flag string; every
-   k-th byte from byte j is move j's column of flags, and slice
-   assignments write each column back to one `bytearray` per player in
-   profile order.  Memo keys and verdicts compare ids, so no outcome is
-   hashed after interning.
+   quantifier and bit 1 a selection defection.  Slice assignments then
+   write each move's column of flags back to one `bytearray` per player in
+   profile order.  Keys and verdicts compare ids, so no outcome is hashed
+   after interning.
+   - Byte keys.  When the ids are bytes and D**k <= 256 for the player's
+     k moves (every majority game over two labels), a line's key is one
+     byte, `Σ id_j · D**j`, and no Python object is made per line.  The
+     columns are `bytearray`s, and the keys are built from them in C, by
+     a `translate` through a "times D" table and an add of the next
+     column as one big int, which no byte carries out of.  The position
+     of each possible key's first occurrence (`bytes.find`) gives the
+     distinct keys in line order, and the goal runs on the ids of the
+     line where each first occurs; its k flag bytes for a key fill that
+     key's slot in k tables, and translating the keys through table j
+     gives move j's column of flags.  This pays once the player has more
+     lines than the D**k keys `find` tries.
+   - Tuple keys.  Otherwise (more than 256 ids, D**k > 256, or no more
+     lines than possible keys, as in a bundled game of 8 profiles)
+     zipping the columns gives every line's key, a tuple of ids, and
+     `dict.fromkeys` of the keys is the memo.  The keys, mapped through
+     the memo and joined end to end, give every line's flag string;
+     every k-th byte from byte j is move j's column of flags.
    A goal that is exactly `ArgmaxCoord` (so `Game` has checked that the
    outcomes are vectors) takes the score path: it is never called, and no
-   memo is built.  Its columns hold each move's score, the level index of
+   key is built.  Its columns hold each move's score, the level index of
    its payoff coordinate, read from the flat level list as one slice.  A
    move whose score is below the best on its line fails both concepts
    (flag byte 3; the goal is closed, so the two verdicts agree) and every
-   other move passes both.  Subclasses, `Lex` and every other goal take
-   the memo.
+   other move passes both.  Subclasses, `Lex` and every other goal are
+   keyed.
 4. Rows zip the players' flags profile by profile and decode each tuple
    of flag bytes through one `_Verdicts`, so equal tuples share one entry.
    Rows hold each profile's outcome as the outcome function returned it.
@@ -86,9 +104,10 @@ from .errors import (
 )
 
 #: Cap on the number of strategy profiles an exhaustive sweep will visit.
-#: A sweep's peak memory grows by about 370-480 bytes per profile (majority
-#: games of 15 and 17 voters), so a sweep at this cap peaks near 1 GiB and a
-#: larger game ends in BudgetExceededError, not in running out of memory.
+#: A sweep's peak memory grows by about 280-510 bytes per profile (majority
+#: games of 15 and 17 voters; the rows dominate, and an interned id takes
+#: one byte), so a sweep at this cap peaks near 1 GiB and a larger game ends
+#: in BudgetExceededError, not in running out of memory.
 DEFAULT_PROFILE_BUDGET = 2**21
 
 
@@ -502,41 +521,60 @@ def _move_slices(j: int, stride: int, block: int, total: int) -> list[tuple[slic
     ]
 
 
+def _scored(p: Player) -> bool:
+    """Does p take the score path?  Only a goal that is exactly `ArgmaxCoord`."""
+    return type(p.selection) is ArgmaxCoord
+
+
 def _player_flags(
-    p: Player, codomain: OutcomeSpace, outcomes: list, levels: Optional[list],
-    ids: list, block: int,
+    p: Player, codomain: OutcomeSpace, by_id: Optional[list], levels: Optional[list],
+    ids: Optional[bytes | list], total: int, block: int,
 ) -> bytearray:
     """Player p's flags, one byte per profile, laid out as `_defections` says.
 
-    `outcomes` is the outcome table, `levels` (vector outcomes only) the
-    level index of every payoff of the table, flattened profile by profile,
-    and `ids` the interned table, in which an id is the index of a profile
-    with that outcome; `block` is the product of the move counts of p and
+    `ids` is the interned table, one dense id per profile (a `bytes` when
+    there are at most 256 ids, else a list; None when every player takes
+    the score path), `by_id` one outcome per id, and `levels` (vector
+    outcomes only) the level index of every payoff of the table, flattened
+    profile by profile; `block` is the product of the move counts of p and
     every later player.
 
-    A goal that is exactly `ArgmaxCoord` takes the score path (see the
-    module docstring) and is never called; every other goal runs once per
-    distinct line key.
+    A goal that is exactly `ArgmaxCoord` takes the score path and is never
+    called.  Every other goal runs once per distinct line key, in the order
+    a line walk meets them.  A line is keyed by one byte, `Σ id_j · D**j`
+    over its ids (`_byte_keyed_flags`), when the ids are bytes, D**k <= 256
+    for D ids and k moves, and the player has more lines than D**k; else
+    by the tuple of its ids.  The module docstring says how.
     """
-    total, k = len(ids), len(p.moves)
-    stride = block // k
+    k = len(p.moves)
+    lines, stride = total // k, block // k
     where = [_move_slices(j, stride, block, total) for j in range(k)]
-    scored = type(p.selection) is ArgmaxCoord
+    scored = _scored(p)
+    # D**k over at most 9 moves: past 8 it exceeds 256 unless D is 1, and a
+    # power over a million moves would take seconds
+    by_byte = not scored and isinstance(ids, bytes) and len(by_id) ** min(k, 9) < min(257, lines)
     source = levels[p.selection.coord - 1 :: codomain.dim] if scored else ids
-    columns = [[0] * (total // k) for _ in range(k)]
+    blank = bytearray(lines) if by_byte else [0] * lines
+    columns = [blank.copy() for _ in range(k)]
     for column, pairs in zip(columns, where):
         for at, line in pairs:
             column[line] = source[at]
+
+    def judge(key: tuple) -> bytes:
+        values = tuple(map(by_id.__getitem__, key))
+        ctx = GameContext._trusted(p.moves, codomain, values)
+        return _defections(p.selection, ctx, key)
+
     if scored:
         best = list(map(max, *columns)) if k > 1 else columns[0]
         by_move = [bytes(map(lt, column, best)).replace(b"\1", b"\3") for column in columns]
+    elif by_byte:
+        by_move = _byte_keyed_flags(columns, len(by_id), judge)
     else:
         keys = list(zip(*columns))
         memo = dict.fromkeys(keys)
         for key in memo:
-            values = tuple(map(outcomes.__getitem__, key))
-            ctx = GameContext._trusted(p.moves, codomain, values)
-            memo[key] = _defections(p.selection, ctx, key)
+            memo[key] = judge(key)
         joined = b"".join(map(memo.__getitem__, keys))
         by_move = [joined[j::k] for j in range(k)]
     flags = bytearray(total)
@@ -544,6 +582,30 @@ def _player_flags(
         for at, line in pairs:
             flags[at] = column[line]
     return flags
+
+
+def _byte_keyed_flags(columns: list, d: int, judge) -> list:
+    """Each move's flags by line, for k byte columns of ids below `d` with
+    d**k <= 256.
+
+    A line's key, `Σ columns[j][line] · d**j`, is built by Horner's rule,
+    last column first: a translate by a "times d" table, then the next
+    column added as one big int, which no byte carries out of since every
+    key is below 256.  Each possible key's first position (`find`), in
+    order, gives the distinct keys in the order a line walk meets them;
+    `judge` runs once per key, on the ids of the line where it first
+    appears, and its k flag bytes fill slot `key` of k tables.  Translating
+    the keys by table j gives move j's flags, line by line.
+    """
+    k, key = len(columns), columns[-1]
+    times = bytes(range(0, d**k, d)).ljust(256, b"\0")  # x -> x * d, for x < d**(k-1)
+    for column in columns[-2::-1]:
+        key = int.from_bytes(key.translate(times), "little") + int.from_bytes(column, "little")
+        key = key.to_bytes(len(column), "little")
+    tables = bytearray(256 * k)  # table j is tables[256 * j : 256 * (j + 1)]
+    for at in sorted(filter((-1).__ne__, map(key.find, range(d**k)))):
+        tables[key[at] :: 256] = judge(tuple([column[at] for column in columns]))
+    return [key.translate(tables[at : at + 256]) for at in range(0, 256 * k, 256)]
 
 
 def enumerate_equilibria(
@@ -569,11 +631,16 @@ def enumerate_equilibria(
         dim = game.outcomes.dim
         levels = game.outcomes._level_indices(chain.from_iterable(outcomes))
         keys = zip(*(levels[c::dim] for c in range(dim)))
-    first = {}
-    ids = list(map(first.setdefault, keys, count()))
+    ids = by_id = None
+    if not all(map(_scored, game.players)):
+        first = {}  # key -> the index of the first profile with that key
+        at = list(map(first.setdefault, keys, count()))
+        dense = dict(zip(first.values(), count()))  # first index -> dense id
+        by_id = list(map(outcomes.__getitem__, dense))
+        ids = (bytes if len(by_id) <= 256 else list)(map(dense.__getitem__, at))
     flags, block = [], total  # per player: one flag byte per profile
     for p in game.players:
-        flags.append(_player_flags(p, game.outcomes, outcomes, levels, ids, block))
+        flags.append(_player_flags(p, game.outcomes, by_id, levels, ids, total, block))
         block //= len(p.moves)
     verdicts = _Verdicts(tuple(p.name for p in game.players))
     # a row's fields: its profile and outcome, then its decoded verdicts

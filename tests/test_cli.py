@@ -453,6 +453,16 @@ def test_each_command_takes_only_its_own_budget_flag(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "analyze", "list"])
+def test_an_unknown_option_is_reported_by_its_command(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--bogus"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hog {command} [-h]")
+    assert err.endswith(f"hog {command}: error: unrecognized arguments: --bogus\n")
+
+
 def test_a_broken_invariant_is_an_internal_error(capsys, monkeypatch):
     def broken(game, max_profiles):
         raise RuntimeError("the sweep lost a row")

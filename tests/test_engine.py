@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -710,6 +711,89 @@ def test_equal_int_and_fraction_outcomes_share_a_context():
         assert row.outcome is game.outcome_fn(row.profile)
         assert evaluate_profile(game, row.profile) == report.row(row.profile)
     assert report.selection_equilibria() == (("A", "C"), ("B", "C"))
+
+
+# ---------------------------------------------------------------------------
+# byte-keyed lines: one byte per line while D**k <= 256 and the lines
+# outnumber the D**k possible keys, tuples otherwise
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _FirstBest(SelectionFunction):
+    """A user goal that is not closed: only the first of the best moves."""
+
+    order: PreferenceOrder
+
+    def __call__(self, p):
+        return ArgmaxOrder(self.order)(p)[:1]
+
+
+@st.composite
+def _atom_tables(draw):
+    """A table game of 2-4 players over 1-4 moves each, its outcomes drawn
+    from 1 to 40 labels, so that D (the distinct outcomes) and D**k (a
+    player's possible line keys, over k moves) fall on both sides of 256
+    and of the player's line count; every goal is a counted user goal."""
+    n = draw(st.integers(2, 4))
+    move_sets = [MoveSet(("a", "b", "c", "d")[: draw(st.integers(1, 4))]) for _ in range(n)]
+    labels = tuple(f"o{i}" for i in range(draw(st.sampled_from([1, 2, 2, 3, 4, 16, 17, 40]))))
+    table = {s: draw(st.sampled_from(labels)) for s in _profiles(move_sets)}
+    order = st.permutations(labels).map(PreferenceOrder)
+    goal = st.one_of(
+        order.map(ArgmaxOrder),
+        st.builds(Lex, order.map(ArgmaxOrder), order.map(ArgmaxOrder)),
+        order.map(_FirstBest),
+    )
+    players = tuple(
+        Player(f"P{i}", m, _Counted(draw(goal))) for i, m in enumerate(move_sets, start=1)
+    )
+    return Game("atoms", players, AtomOutcomes(labels), outcome_table(table))
+
+
+def _judged_line_by_line(game):
+    """Check the sweep of `game` (counted goals) call for call against a line
+    walk and row for row against `evaluate_profile`, and that it keys a
+    player's lines by bytes exactly when D**k <= 256 and the player has more
+    lines than D**k."""
+    byte_keyed = []
+    by_bytes = hog.engine._byte_keyed_flags
+
+    def spy(columns, d, judge):
+        byte_keyed.append((len(columns), d))
+        return by_bytes(columns, d, judge)
+
+    with patch.object(hog.engine, "_byte_keyed_flags", spy):
+        report = enumerate_equilibria(game)
+    _assert_one_goal_call_per_context(game)
+    d = len(set(game.outcome_fn._table.values()))
+    lines = [(game.profile_count() // len(p.moves), len(p.moves)) for p in game.players]
+    assert byte_keyed == [(k, d) for n, k in lines if d**k < min(257, n)]
+    for row in report.rows:
+        assert evaluate_profile(game, row.profile) == row
+
+
+@settings(deadline=None)
+@given(game=_atom_tables())
+def test_byte_keyed_lines_agree_with_a_line_walk(game):
+    _judged_line_by_line(game)
+
+
+@pytest.mark.parametrize(
+    "widths, outcomes", [((17, 17), 17 * 17), ((300, 1), 256), ((2, 300), 16)]
+)
+def test_line_keys_fit_a_byte_up_to_256(widths, outcomes):
+    # 289 outcomes: the ids stay a list, and every line is keyed by a tuple;
+    # 256 outcomes and one move, or 16 outcomes and two moves, make line
+    # keys up to 255: that player's 300 lines are keyed by one byte each
+    move_sets = [MoveSet(tuple(f"m{i:03d}" for i in range(w))) for w in widths]
+    labels = tuple(f"o{i}" for i in range(outcomes))
+    table = {s: labels[k * 7 % outcomes] for k, s in enumerate(_profiles(move_sets))}
+    goals = [ArgmaxOrder(PreferenceOrder(labels)), _FirstBest(PreferenceOrder(labels[::-1]))]
+    players = tuple(
+        Player(f"P{i}", m, _Counted(g)) for i, (m, g) in enumerate(zip(move_sets, goals), 1)
+    )
+    _judged_line_by_line(Game("wide", players, AtomOutcomes(labels), outcome_table(table)))
 
 
 # ---------------------------------------------------------------------------
