@@ -9,7 +9,6 @@ both built from one list of judges, so the two cannot drift apart.
 
 from __future__ import annotations
 
-from itertools import product as cartesian
 from operator import eq, ne
 
 from .core import (
@@ -81,14 +80,13 @@ def _bos_lex() -> Game:
 def _bos_agreement() -> Game:
     # same players as bos-lex; the pact rewrites (B, F) to (B, B)
     moves, players = _bos_cast()
+    profiles = ProductOutcomes((moves, moves))
 
     def pact(s):
         return (s[0], "B") if s == ("B", "F") else s
 
-    entries = tuple((s, pact(s)) for s in cartesian(moves.labels, repeat=2))
-    return Game(
-        "bos-agreement", players, ProductOutcomes((moves, moves)), outcome_table(entries)
-    )
+    entries = tuple((s, pact(s)) for s in profiles.iter_outcomes())
+    return Game("bos-agreement", players, profiles, outcome_table(entries))
 
 
 CATALOG: dict[str, tuple[Game, str]] = {
@@ -164,9 +162,7 @@ def builtin_note(name: str) -> str:
 
 
 def _matrix(name, players, move_sets, payoff) -> PayoffMatrix:
-    entries = tuple(
-        (s, payoff(s)) for s in cartesian(*(m.labels for m in move_sets))
-    )
+    entries = tuple((s, payoff(s)) for s in ProductOutcomes(move_sets).iter_outcomes())
     return PayoffMatrix(name, players, move_sets, entries)
 
 

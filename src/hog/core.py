@@ -20,6 +20,9 @@ moves back to their outcomes calls the context on a move.  Every
 label-to-position lookup (`MoveSet.index`, `rank`,
 `PreferenceOrder.position`, and `VectorOutcomes._level_indices`, which every
 payoff-to-level lookup goes through) reads a dict built on first use.
+Membership reads the same dicts as positions: `in` a `MoveSet` or an
+`AtomOutcomes` is one lookup in its `_position`, never a scan of its labels,
+and a value that cannot hash is in neither.
 """
 
 from __future__ import annotations
@@ -63,7 +66,10 @@ class MoveSet:
         return len(self.labels)
 
     def __contains__(self, label):
-        return label in self.labels
+        try:
+            return label in self._position
+        except TypeError:  # an unhashable value is no label
+            return False
 
     @cached_property
     def _position(self) -> dict:
@@ -122,7 +128,7 @@ class AtomOutcomes:
             return self.labels.index(value)
 
     def __contains__(self, value):
-        return isinstance(value, str) and value in self.labels
+        return isinstance(value, str) and value in self._position
 
 
 @dataclass(frozen=True)
@@ -150,9 +156,10 @@ class ProductOutcomes:
         return tuple(self.iter_outcomes())
 
     def rank(self, value) -> int:
-        # lexicographic in declaration order, identical to all_outcomes()
+        # lexicographic in declaration order, identical to all_outcomes();
+        # a value of the wrong length raises ValueError, as one off the space
         r = 0
-        for m, v in zip(self.coords, value):
+        for m, v in zip(self.coords, value, strict=True):
             r = r * len(m) + m.index(v)
         return r
 

@@ -6,10 +6,17 @@ checking is by definition chasing: for each player build the unilateral
 context (what they could steer the outcome to, everyone else held fixed)
 and ask their selection function, or its lift, whether the profile stands.
 
-How `enumerate_equilibria` sweeps.  Profile k is entry k of one flat
-list, a mixed-radix number whose last digit is the last player's move.
-Profiles that differ only in player i's move form a deviation line, and
-every profile on it hands player i the same context.
+Strategy profiles have one owner: the `ProductOutcomes` of the players'
+move sets (`Game._profiles`).  It lists them (`iter_outcomes`), counts them
+(`size`), says which tuples are profiles (`in`) and indexes them (`rank`),
+for `Game`, table validation, tabulation, `EquilibriumReport.row` and
+`PayoffMatrix` alike.  Its order, lexicographic in declaration order, is
+the profile order everywhere.
+
+How `enumerate_equilibria` sweeps.  Profile k is entry k of one flat list
+in that order, a mixed-radix number whose last digit is the last player's
+move.  Profiles that differ only in player i's move form a deviation line,
+and every profile on it hands player i the same context.
 
 1. Tabulate (`OutcomeFunction._tabulate`).  A majority winner over few
    labels is decoded once per distinct tally of votes; other outcome
@@ -76,11 +83,10 @@ game theory on the games where both apply.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, product as cartesian
+from itertools import chain, compress, count
 from operator import add, lt
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -154,7 +160,7 @@ class OutcomeFunction:
 
     def _tabulate(self, move_sets) -> list:
         """Every profile's outcome, as `__call__` gives it, in profile order
-        (mixed radix, last player fastest).
+        (`ProductOutcomes(move_sets)` order: mixed radix, last player fastest).
 
         A majority winner depends on the vote counts alone.  So each profile
         is keyed by one int whose digit r, base n + 1, counts the votes for
@@ -166,7 +172,7 @@ class OutcomeFunction:
         """
         n, width = len(move_sets), len(move_sets[0].labels)
         if self.kind != "majority" or width * (n + 1).bit_length() > 62:
-            return list(map(self, cartesian(*(ms.labels for ms in move_sets))))
+            return list(map(self, ProductOutcomes(move_sets).iter_outcomes()))
         labels = sorted(move_sets[0].labels)
         weight = {x: (n + 1) ** r for r, x in enumerate(labels)}
         keys = [0]
@@ -261,8 +267,9 @@ def game_problems(
             yield GameProblem(f"player {p.name}: {e}", type(e), "type-mismatch", ("player", i))
 
     move_sets = tuple(p.moves for p in players)
+    profiles = ProductOutcomes(move_sets)
     if fn.kind == "identity":
-        if outcomes != ProductOutcomes(move_sets):
+        if outcomes != profiles:
             yield GameProblem(
                 "identity outcome function needs `outcomes = moves`",
                 ValueError, "type-mismatch", game,
@@ -281,21 +288,21 @@ def game_problems(
             yield GameProblem(message, ValueError, "type-mismatch", game)
     else:
         yield from _table_problems(
-            move_sets, fn.entries,
+            profiles, fn.entries,
             lambda value: None if value in outcomes else "lies outside the outcome space",
         )
 
 
-def _table_problems(move_sets, entries, value_problem) -> Iterator[GameProblem]:
-    """Every reason `entries` is not a total table over `move_sets`.
+def _table_problems(profiles, entries, value_problem) -> Iterator[GameProblem]:
+    """Every reason `entries` is not a total table over `profiles`, the
+    `ProductOutcomes` of the move sets.
 
-    Per entry, in the order given: its profile's shape, a repeat, then what
-    `value_problem(value)` finds wrong (None if nothing).  Then the misses."""
+    Per entry, in the order given: its profile's shape (is it one of
+    `profiles`?), a repeat, then what `value_problem(value)` finds wrong
+    (None if nothing).  Then the misses, the first in `profiles` order."""
     listed = set()
     for k, (profile, value) in enumerate(entries):
-        if len(profile) != len(move_sets) or any(
-            x not in ms for x, ms in zip(profile, move_sets)
-        ):
+        if profile not in profiles:
             yield GameProblem(
                 f"profile {_fmt_profile(profile)} does not match the move sets",
                 InvalidProfileError, "type-mismatch", ("entry", k),
@@ -313,11 +320,9 @@ def _table_problems(move_sets, entries, value_problem) -> Iterator[GameProblem]:
                     f"outcome for {_fmt_profile(profile)} {problem}",
                     ValueError, "type-mismatch", ("entry", k),
                 )
-    total = math.prod(len(ms) for ms in move_sets)
+    total = profiles.size()
     if len(listed) < total:
-        first = next(
-            s for s in cartesian(*(ms.labels for ms in move_sets)) if s not in listed
-        )
+        first = next(s for s in profiles.iter_outcomes() if s not in listed)
         yield GameProblem(
             f"outcome table misses {total - len(listed)} profile(s), "
             f"e.g. {_fmt_profile(first)}",
@@ -357,12 +362,18 @@ class Game:
     def n(self) -> int:
         return len(self.players)
 
+    @cached_property
+    def _profiles(self) -> ProductOutcomes:
+        """The strategy profiles, as the product of the players' move sets."""
+        return ProductOutcomes(tuple(p.moves for p in self.players))
+
     def profile_count(self) -> int:
-        return math.prod(len(p.moves) for p in self.players)
+        return self._profiles.size()
 
     def profiles(self) -> Iterator[tuple]:
-        """All strategy profiles, lexicographic in declaration order."""
-        return cartesian(*(p.moves.labels for p in self.players))
+        """All strategy profiles in `ProductOutcomes` order: lexicographic in
+        declaration order, last player fastest."""
+        return self._profiles.iter_outcomes()
 
     def check_profile(self, profile) -> tuple:
         profile = tuple(profile)
@@ -419,17 +430,14 @@ class EquilibriumReport:
         return tuple(r.profile for r in self.rows if r.selection_eq)
 
     def row(self, profile) -> ProfileResult:
-        """The row of `profile`, found by its mixed-radix index (last player
-        fastest), the order `enumerate_equilibria` lists rows in."""
+        """The row of `profile`, found by its `ProductOutcomes.rank` among the
+        game's profiles: `ProductOutcomes` order is the order
+        `enumerate_equilibria` lists rows in."""
         profile = tuple(profile)
-        k = 0
-        try:
-            # strict: a profile of the wrong length is a ValueError too
-            for x, p in zip(profile, self.game.players, strict=True):
-                k = k * len(p.moves) + p.moves.index(x)
+        try:  # rank raises ValueError for a wrong length or a non-move
+            return self.rows[self.game._profiles.rank(profile)]
         except ValueError:
             raise InvalidProfileError(f"no row for profile {profile!r}") from None
-        return self.rows[k]
 
 
 def _defections(selection: SelectionFunction, p: GameContext, keys: tuple) -> bytes:
@@ -679,7 +687,7 @@ class PayoffMatrix:
             for profile, payoffs in _entries(self.entries)
         )
         for problem in _table_problems(
-            self.move_sets, ent,
+            ProductOutcomes(self.move_sets), ent,
             lambda payoffs: None if len(payoffs) == n else f"needs {n} payoffs",
         ):
             raise problem.error(problem.message)
@@ -690,7 +698,8 @@ class PayoffMatrix:
         return dict(self.entries)
 
     def profiles(self) -> Iterator[tuple]:
-        return cartesian(*(m.labels for m in self.move_sets))
+        """All profiles, in `ProductOutcomes(move_sets)` order, as `Game`'s."""
+        return ProductOutcomes(self.move_sets).iter_outcomes()
 
     def payoff(self, profile) -> tuple[Fraction, ...]:
         try:

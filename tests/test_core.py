@@ -116,6 +116,13 @@ def test_direct_calls_keep_their_error_contracts():
     assert _raised(lambda: AB.index("Z")) == not_in_tuple
     assert _raised(lambda: AB.index(["A"])) == not_in_tuple
     assert _raised(lambda: ATOMS_AB.rank("Z")) == not_in_tuple
+    # a value that cannot hash is in no space and ranks nowhere
+    assert ["A"] not in AB and ["A"] not in ATOMS_AB
+    assert (["E"], "G") not in PROD_EG and ("E", ["G"]) not in PROD_EG
+    assert _raised(lambda: PROD_EG.rank((["E"], "G"))) == not_in_tuple
+    # a tuple of the wrong length ranks nowhere either
+    assert _raised(lambda: PROD_EG.rank(("E",)))[0] is ValueError
+    assert _raised(lambda: PROD_EG.rank(("E", "G", "G")))[0] is ValueError
     unranked = (IncompleteOrderError, "order does not rank 'B'")
     only_a = PreferenceOrder(("A",))
     assert _raised(lambda: ArgmaxOrder(only_a)(p)) == unranked

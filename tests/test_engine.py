@@ -46,6 +46,7 @@ from hog import (
     brute_force_nash,
     builtin,
     builtin_names,
+    check_shape,
     classical_game,
     closure_of,
     enumerate_contexts,
@@ -200,7 +201,8 @@ def test_report_row_is_found_by_index(name):
 
 
 @pytest.mark.parametrize(
-    "profile", [("B", "A"), ("B", "A", "B", "A"), ("B", "Z", "B"), (None, "A", "B")]
+    "profile",
+    [("B", "A"), ("B", "A", "B", "A"), ("B", "Z", "B"), (None, "A", "B"), (["B"], "A", "B")],
 )
 def test_report_row_rejects_profiles_it_does_not_list(profile):
     report = enumerate_equilibria(KEYNES)
@@ -987,6 +989,37 @@ def test_game_rejects_incomplete_preference_order():
         Game("g", players, AtomOutcomes(("A", "B")), majority_rule())
 
 
+class _CountedLabel(str):
+    """A label that counts the `==` tests made on it; it hashes as a str."""
+
+    eqs = 0
+
+    def __eq__(self, other):
+        type(self).eqs += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_label_lookups_are_linear_in_the_labels():
+    # a membership test that scans the labels makes about n**2 / 2 `==` tests
+    # here; one that looks the label up by hash makes a handful per label
+    n = 2000
+    moves = tuple(map(_CountedLabel, (f"m{i}" for i in range(n))))
+    entries = [((m,), "AB"[i % 2]) for i, m in enumerate(moves)]
+    _CountedLabel.eqs = 0
+    Game(
+        "g", (Player("P1", MoveSet(moves), ArgmaxOrder(PreferenceOrder(("A", "B")))),),
+        AtomOutcomes(("A", "B")), outcome_table(entries),
+    )
+    assert _CountedLabel.eqs <= 3 * n
+    atoms = tuple(map(_CountedLabel, (f"a{i}" for i in range(n))))
+    ranking = tuple(map(_CountedLabel, reversed(atoms)))  # equal, not the same objects
+    _CountedLabel.eqs = 0
+    check_shape(ArgmaxOrder(PreferenceOrder(ranking)), AB, AtomOutcomes(atoms))
+    assert _CountedLabel.eqs <= 3 * n
+
+
 def test_game_rejects_partial_outcome_table():
     entries = [(("A", "A"), "A")]
     players = (Player("P1", AB, Fix()), Player("P2", AB, Fix()))
@@ -1029,6 +1062,27 @@ MALFORMED_PARTS = {
     "matrix-payoff": (
         lambda: payoff_matrix("meeting-ny").payoff(("E", "X")),
         InvalidProfileError, "no payoffs for profile ('E', 'X')",
+    ),
+    # a label that cannot hash is no move, wherever a profile is checked
+    "table-unhashable-label": (
+        lambda: Game(
+            "g", (Player("P1", AB, Fix()),), AtomOutcomes(("A", "B")),
+            outcome_table([((["A"],), "A"), (("A",), "A"), (("B",), "B")]),
+        ),
+        InvalidProfileError, "profile (['A']) does not match the move sets",
+    ),
+    "matrix-unhashable-label": (
+        lambda: PayoffMatrix("m", ("P1",), (("a",),), [((["a"],), (1,))]),
+        InvalidProfileError, "profile (['a']) does not match the move sets",
+    ),
+    "evaluate-unhashable-label": (
+        lambda: evaluate_profile(KEYNES, (["A"], "A", "B")),
+        InvalidProfileError, "['A'] is not a move of player J1",
+    ),
+    # its profiles are a `ProductOutcomes`, which needs a coordinate
+    "matrix-no-players": (
+        lambda: PayoffMatrix("m", (), (), [((), ())]),
+        ValueError, "a product outcome space needs at least one coordinate",
     ),
 }
 
