@@ -174,6 +174,17 @@ class ProductOutcomes:
 _level_key = attrgetter("numerator", "denominator")  # the same for 1 and Fraction(1)
 
 
+def _exact(payoff) -> Fraction:
+    """A payoff as a `Fraction`: one that is exactly a `Fraction` is kept."""
+    return payoff if type(payoff) is Fraction else Fraction(payoff)
+
+
+def _distinct_objects(values) -> list:
+    """Each distinct object of `values` once, by identity, in first-seen order."""
+    values = list(values)
+    return list(dict(zip(map(id, values), values)).values())
+
+
 @dataclass(frozen=True)
 class VectorOutcomes:
     """Outcomes are payoff vectors; every coordinate ranges over `levels`.
@@ -183,7 +194,8 @@ class VectorOutcomes:
     rule: a payoff (an int or a `Fraction`) is found by its
     `(numerator, denominator)` in `_level_of`, which gives its level index.
     `_level_indices` looks payoffs up in bulk for `rank`, `ArgmaxCoord` and
-    the solve kernel; `_from_table` builds the space a payoff table needs.
+    the solve kernel; `_from_table` builds the space a payoff table needs,
+    and `_contains_all` accepts a whole table's values at once.
     """
 
     dim: int
@@ -192,7 +204,7 @@ class VectorOutcomes:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("vector outcomes need dim >= 1")
-        lv = tuple(Fraction(x) for x in self.levels)
+        lv = tuple(map(_exact, self.levels))
         if not lv:
             raise ValueError("vector outcomes need at least one level")
         if len(set(lv)) != len(lv):
@@ -215,8 +227,9 @@ class VectorOutcomes:
     @classmethod
     def _from_table(cls, dim: int, vectors) -> "VectorOutcomes":
         """The space whose levels are the distinct payoffs of `vectors`;
-        equal payoffs however written (`1`, `Fraction(1)`, `2/2`) are one level."""
-        payoffs = list(chain.from_iterable(vectors))
+        equal payoffs however written (`1`, `Fraction(1)`, `2/2`) are one level.
+        Each distinct payoff object is keyed once: a table shares a few."""
+        payoffs = _distinct_objects(chain.from_iterable(vectors))
         return cls(dim, tuple(dict(zip(map(_level_key, payoffs), payoffs)).values()))
 
     @cached_property
@@ -227,6 +240,21 @@ class VectorOutcomes:
     def _level_indices(self, payoffs) -> list:
         """The level index of each payoff, in order; KeyError for a non-level."""
         return list(map(self._level_of.__getitem__, map(_level_key, payoffs)))
+
+    def _contains_all(self, values) -> bool:
+        """Are all of `values`, a list, in the space?  Checked in bulk, for
+        a whole outcome table: each value exactly a `tuple` of `dim`
+        payoffs, each payoff exactly an `int` or a `Fraction`, and each
+        distinct payoff object a level.  False also for values `in` would
+        take (a `bool`, a `Fraction` subclass, a tuple subclass); `in`
+        decides those."""
+        if set(map(type, values)) != {tuple} or set(map(len, values)) != {self.dim}:
+            return False
+        payoffs = list(chain.from_iterable(values))
+        if not set(map(type, payoffs)) <= {int, Fraction}:
+            return False
+        distinct = _distinct_objects(payoffs)
+        return all(map(self._level_of.__contains__, map(_level_key, distinct)))
 
     def rank(self, value) -> int:
         base = len(self.levels)

@@ -13,6 +13,16 @@ for `Game`, table validation, tabulation, `EquilibriumReport.row` and
 `PayoffMatrix` alike.  Its order, lexicographic in declaration order, is
 the profile order everywhere.
 
+Outcome tables are accepted in bulk and diagnosed by a walk.
+`_table_problems` first tries `_table_accepted`: as many entries as
+profiles, every profile among them, and every value good, checked in a few
+C-level set and map passes over the whole table (for vector outcomes,
+`VectorOutcomes._contains_all` looks each distinct payoff object up once).
+Only a table that fails that is walked entry by entry (`_table_walk`),
+which reports every problem, located, in a fixed order.  So a valid table
+costs no Python-level call per entry, and an invalid one gets the same
+diagnostics as before.
+
 How `enumerate_equilibria` sweeps.  Profile k is entry k of one flat list
 in that order, a mixed-radix number whose last digit is the last player's
 move.  Profiles that differ only in player i's move form a deviation line,
@@ -87,7 +97,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count
-from operator import add, lt
+from operator import add, eq, itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
@@ -99,6 +109,7 @@ from .core import (
     ProductOutcomes,
     SelectionFunction,
     VectorOutcomes,
+    _exact,
     check_shape,
     may_be_empty,
 )
@@ -290,12 +301,44 @@ def game_problems(
         yield from _table_problems(
             profiles, fn.entries,
             lambda value: None if value in outcomes else "lies outside the outcome space",
+            outcomes._contains_all if isinstance(outcomes, VectorOutcomes) else None,
         )
 
 
-def _table_problems(profiles, entries, value_problem) -> Iterator[GameProblem]:
+def _table_problems(profiles, entries, value_problem, values_ok=None) -> Iterator[GameProblem]:
     """Every reason `entries` is not a total table over `profiles`, the
-    `ProductOutcomes` of the move sets.
+    `ProductOutcomes` of the move sets, as `_table_walk` finds them.
+
+    A valid table is accepted in bulk (`_table_accepted`), and only a table
+    that fails that is walked entry by entry, to diagnose it.
+    `values_ok(values)` judges the list of every value at once; by default
+    it asks `value_problem` of each value."""
+    values_ok = values_ok or (lambda values: not any(map(value_problem, values)))
+    if not _table_accepted(profiles, entries, values_ok):
+        yield from _table_walk(profiles, entries, value_problem)
+
+
+def _table_accepted(profiles, entries, values_ok) -> bool:
+    """Is `entries` a total table over `profiles` with good values?
+
+    Checked in a few C-level passes over the table: as many entries as
+    profiles, every profile among them (so none repeats and none is off
+    the move sets), and `values_ok` of the values.  True only if
+    `_table_walk` finds nothing; False also for an unhashable label."""
+    if len(entries) != profiles.size():
+        return False
+    try:
+        listed = set(map(itemgetter(0), entries))
+    except TypeError:
+        return False
+    return listed.issuperset(profiles.iter_outcomes()) and values_ok(
+        list(map(itemgetter(1), entries))
+    )
+
+
+def _table_walk(profiles, entries, value_problem) -> Iterator[GameProblem]:
+    """Every reason `entries` is not a total table over `profiles`, found
+    entry by entry.
 
     Per entry, in the order given: its profile's shape (is it one of
     `profiles`?), a repeat, then what `value_problem(value)` finds wrong
@@ -353,9 +396,12 @@ class Game:
         fn = self.outcome_fn
         if fn.kind == "table":
             # canonicalize entry order so equal games compare equal however
-            # their tables were written down; the table is total, no repeats
-            ordered = tuple((s, fn._table[s]) for s in self.profiles())
-            if ordered != fn.entries:
+            # their tables were written down; the table is total, no repeats.
+            # Its lookup dict is built here, with the game, not in a solve.
+            table = fn._table
+            listed = map(itemgetter(0), fn.entries)
+            if not all(map(eq, listed, self.profiles())):
+                ordered = tuple((s, table[s]) for s in self.profiles())
                 object.__setattr__(self, "outcome_fn", OutcomeFunction("table", ordered))
 
     @property
@@ -682,10 +728,24 @@ class PayoffMatrix:
         if len(set(self.players)) != len(self.players):
             raise ValueError(f"duplicate player names in {self.players!r}")
         n = len(self.players)
-        ent = tuple(
-            (profile, tuple(Fraction(v) for v in payoffs))
-            for profile, payoffs in _entries(self.entries)
+        ent = _entries(self.entries)
+        payoffs = list(map(itemgetter(1), ent))
+        # tuples of exact Fractions are kept as given; anything else is rebuilt
+        kept = set(map(type, payoffs)) == {tuple} and {Fraction} == set(
+            map(type, chain.from_iterable(payoffs))
         )
+        if not kept:
+            # each payoff object is converted once, so one given many times
+            # (as small ints are) stays one Fraction, which `_from_table` and
+            # the bulk accept look up once
+            made = {}  # id -> (the payoff, its Fraction); held, so no id is reused
+
+            def exact(v):
+                if id(v) not in made:
+                    made[id(v)] = (v, _exact(v))
+                return made[id(v)][1]
+
+            ent = tuple((profile, tuple(map(exact, pay))) for profile, pay in ent)
         for problem in _table_problems(
             ProductOutcomes(self.move_sets), ent,
             lambda payoffs: None if len(payoffs) == n else f"needs {n} payoffs",
@@ -710,7 +770,7 @@ class PayoffMatrix:
 
 def classical_game(matrix: PayoffMatrix) -> Game:
     """Recast a payoff matrix as a game of payoff-maximising players."""
-    payoffs = (pay for _, pay in matrix.entries)
+    payoffs = map(itemgetter(1), matrix.entries)
     outcomes = VectorOutcomes._from_table(len(matrix.players), payoffs)
     players = tuple(
         Player(nm, ms, ArgmaxCoord(i))

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 ENGINE = "src/hog/engine.py"
 CORE = "src/hog/core.py"
 ENGINE_TESTS = ("tests/test_engine.py",)
+TABLE_TESTS = ("tests/test_tables.py",)
 
 MUTANTS = (
     # byte-keyed deviation lines
@@ -141,6 +142,79 @@ MUTANTS = (
         "    def rank(self, value) -> int:\n        # lexicographic in declaration order",
         "    def _rank(self, value) -> int:\n        # lexicographic in declaration order",
         ("tests/test_bench_hooks.py",),
+    ),
+    # tables accepted in bulk, walked only to diagnose
+    Mutant(
+        "table-accept-without-count", ENGINE,
+        "    if len(entries) != profiles.size():\n        return False\n",
+        "",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "table-accept-subset-for-superset", ENGINE,
+        "return listed.issuperset(profiles.iter_outcomes())",
+        "return listed.issubset(profiles.iter_outcomes())",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "table-accept-raises-on-unhashable", ENGINE,
+        "    except TypeError:\n        return False\n    return listed",
+        "    except KeyError:\n        return False\n    return listed",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "table-accept-values-unchecked", ENGINE,
+        "values_ok = values_ok or (lambda values: not any(map(value_problem, values)))",
+        "values_ok = values_ok or (lambda values: True)",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "vector-accept-by-isinstance", CORE,
+        "if not set(map(type, payoffs)) <= {int, Fraction}:",
+        "if not all(map(isinstance, payoffs, repeat((int, Fraction)))):",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "vector-accept-without-dim", CORE,
+        "set(map(type, values)) != {tuple} or set(map(len, values)) != {self.dim}",
+        "set(map(type, values)) != {tuple}",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "vector-accept-without-tuple-type", CORE,
+        "set(map(type, values)) != {tuple} or set(map(len, values)) != {self.dim}",
+        "set(map(len, values)) != {self.dim}",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "distinct-payoffs-by-value", CORE,
+        "return list(dict(zip(map(id, values), values)).values())",
+        "return list(dict.fromkeys(values))",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "exact-keeps-fraction-subclass", CORE,
+        "return payoff if type(payoff) is Fraction else Fraction(payoff)",
+        "return payoff if isinstance(payoff, Fraction) else Fraction(payoff)",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "matrix-payoff-memo-lets-ids-be-reused", ENGINE,
+        "made[id(v)] = (v, _exact(v))",
+        "made[id(v)] = (None, _exact(v))",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "matrix-keeps-mixed-payoffs", ENGINE,
+        "kept = set(map(type, payoffs)) == {tuple} and {Fraction} == set(",
+        "kept = set(map(type, payoffs)) == {tuple} and {Fraction} <= set(",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "game-order-checked-by-any", ENGINE,
+        "if not all(map(eq, listed, self.profiles())):",
+        "if not any(map(eq, listed, self.profiles())):",
+        TABLE_TESTS,
     ),
 )
 

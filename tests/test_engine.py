@@ -1013,6 +1013,14 @@ def test_label_lookups_are_linear_in_the_labels():
         AtomOutcomes(("A", "B")), outcome_table(entries),
     )
     assert _CountedLabel.eqs <= 3 * n
+    # a table with a fault is walked entry by entry, each profile looked up
+    _CountedLabel.eqs = 0
+    with pytest.raises(ValueError, match="listed twice"):
+        Game(
+            "g", (Player("P1", MoveSet(moves), ArgmaxOrder(PreferenceOrder(("A", "B")))),),
+            AtomOutcomes(("A", "B")), outcome_table(entries + entries[-1:]),
+        )
+    assert _CountedLabel.eqs <= 3 * n
     atoms = tuple(map(_CountedLabel, (f"a{i}" for i in range(n))))
     ranking = tuple(map(_CountedLabel, reversed(atoms)))  # equal, not the same objects
     _CountedLabel.eqs = 0
@@ -1132,10 +1140,25 @@ def test_nash_with_constant_payoffs_is_everything():
     assert brute_force_nash(flat) == tuple(flat.profiles())
 
 
+class _Third(Fraction):
+    """A `Fraction` subclass, which a payoff matrix stores as a `Fraction`."""
+
+
 def test_payoff_matrix_values_are_exact():
     m = payoff_matrix("matching-pennies")
     assert m.payoff(("H", "H")) == (Fraction(1), Fraction(-1))
     assert m.payoff(("H", "T")) == (Fraction(-1), Fraction(1))
+    given = (2, "1/2", 0.25, Fraction(3, 4), _Third(1, 3))
+    names = tuple(f"P{i}" for i in range(1, len(given) + 1))
+    mixed = PayoffMatrix("mixed", names, (("a",),) * len(given), [(("a",) * len(given), given)])
+    payoffs = mixed.payoff(("a",) * len(given))
+    assert payoffs == (2, Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 3))
+    assert [type(v) for v in payoffs] == [Fraction] * len(given)
+    assert payoffs[3] is given[3]  # an exact Fraction is kept as given
+    # payoffs made on the fly: each fresh float is its own payoff
+    made = (x / 4 for x in range(5))
+    fresh = PayoffMatrix("fresh", names, mixed.move_sets, [(("a",) * 5, made)])
+    assert fresh.payoff(("a",) * 5) == tuple(Fraction(x, 4) for x in range(5))
 
 
 def test_payoff_matrix_rejects_partial_tables():
