@@ -728,24 +728,7 @@ class PayoffMatrix:
         if len(set(self.players)) != len(self.players):
             raise ValueError(f"duplicate player names in {self.players!r}")
         n = len(self.players)
-        ent = _entries(self.entries)
-        payoffs = list(map(itemgetter(1), ent))
-        # tuples of exact Fractions are kept as given; anything else is rebuilt
-        kept = set(map(type, payoffs)) == {tuple} and {Fraction} == set(
-            map(type, chain.from_iterable(payoffs))
-        )
-        if not kept:
-            # each payoff object is converted once, so one given many times
-            # (as small ints are) stays one Fraction, which `_from_table` and
-            # the bulk accept look up once
-            made = {}  # id -> (the payoff, its Fraction); held, so no id is reused
-
-            def exact(v):
-                if id(v) not in made:
-                    made[id(v)] = (v, _exact(v))
-                return made[id(v)][1]
-
-            ent = tuple((profile, tuple(map(exact, pay))) for profile, pay in ent)
+        ent = tuple((profile, tuple(map(_exact, pay))) for profile, pay in _entries(self.entries))
         for problem in _table_problems(
             ProductOutcomes(self.move_sets), ent,
             lambda payoffs: None if len(payoffs) == n else f"needs {n} payoffs",

@@ -199,18 +199,6 @@ MUTANTS = (
         ENGINE_TESTS,
     ),
     Mutant(
-        "matrix-payoff-memo-lets-ids-be-reused", ENGINE,
-        "made[id(v)] = (v, _exact(v))",
-        "made[id(v)] = (None, _exact(v))",
-        ENGINE_TESTS,
-    ),
-    Mutant(
-        "matrix-keeps-mixed-payoffs", ENGINE,
-        "kept = set(map(type, payoffs)) == {tuple} and {Fraction} == set(",
-        "kept = set(map(type, payoffs)) == {tuple} and {Fraction} <= set(",
-        ENGINE_TESTS,
-    ),
-    Mutant(
         "game-order-checked-by-any", ENGINE,
         "if not all(map(eq, listed, self.profiles())):",
         "if not any(map(eq, listed, self.profiles())):",

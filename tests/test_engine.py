@@ -1155,7 +1155,7 @@ def test_payoff_matrix_values_are_exact():
     assert payoffs == (2, Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 3))
     assert [type(v) for v in payoffs] == [Fraction] * len(given)
     assert payoffs[3] is given[3]  # an exact Fraction is kept as given
-    # payoffs made on the fly: each fresh float is its own payoff
+    # payoffs given as an iterator
     made = (x / 4 for x in range(5))
     fresh = PayoffMatrix("fresh", names, mixed.move_sets, [(("a",) * 5, made)])
     assert fresh.payoff(("a",) * 5) == tuple(Fraction(x, 4) for x in range(5))
