@@ -22,7 +22,12 @@ label-to-position lookup (`MoveSet.index`, `rank`,
 payoff-to-level lookup goes through) reads a dict built on first use.
 Membership reads the same dicts as positions: `in` a `MoveSet` or an
 `AtomOutcomes` is one lookup in its `_position`, never a scan of its labels,
-and a value that cannot hash is in neither.
+and a value that cannot hash is in neither.  Those two classes share one
+base, `_Labels`, the ordered label set: it owns the labels' checks, the
+`_position` dict and the one lookup that `MoveSet.index` and
+`AtomOutcomes.rank` both bind.  `PreferenceOrder` stays apart, since its
+field is `ranking`, it checks repeats before emptiness, and a value it does
+not rank raises `IncompleteOrderError`.
 """
 
 from __future__ import annotations
@@ -47,17 +52,45 @@ DEFAULT_CONTEXT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
-class MoveSet:
-    """Ordered finite set of move labels; declaration order is canonical."""
+class _Labels:
+    """An ordered set of distinct labels and their positions, shared by
+    `MoveSet` and `AtomOutcomes`.
+
+    The class attributes `_empty` and `_duplicate` pick the messages for no
+    labels and for a repeated one.  Each subclass binds `_index` in its own
+    body, as `index` or `rank`: neither gains the other's name, and the
+    benchmark's tracer, which patches methods in `vars(cls)`, still finds
+    them.  Subclasses take no decorator of their own; the generated `repr`
+    and `==` read the instance's class, so neither equals the other.
+    """
 
     labels: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
-            raise ValueError("a move set needs at least one move")
+            raise ValueError(self._empty)
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate move labels in {self.labels!r}")
+            raise ValueError(self._duplicate.format(self.labels))
+
+    @cached_property
+    def _position(self) -> dict:
+        return {x: i for i, x in enumerate(self.labels)}
+
+    def _index(self, label) -> int:
+        try:
+            return self._position[label]
+        except (KeyError, TypeError):
+            # a label outside the set: raise what tuple.index raises
+            return self.labels.index(label)
+
+
+class MoveSet(_Labels):
+    """Ordered finite set of move labels; declaration order is canonical."""
+
+    _empty = "a move set needs at least one move"
+    _duplicate = "duplicate move labels in {!r}"
+    index = _Labels._index
 
     def __iter__(self):
         return iter(self.labels)
@@ -71,17 +104,6 @@ class MoveSet:
         except TypeError:  # an unhashable value is no label
             return False
 
-    @cached_property
-    def _position(self) -> dict:
-        return {x: i for i, x in enumerate(self.labels)}
-
-    def index(self, label: str) -> int:
-        try:
-            return self._position[label]
-        except (KeyError, TypeError):
-            # a label that is not a move: raise what tuple.index raises
-            return self.labels.index(label)
-
 
 # ---------------------------------------------------------------------------
 # Outcome spaces
@@ -90,18 +112,12 @@ class MoveSet:
 # sets (strategy profiles as outcomes), and payoff vectors over a fixed grid
 # of rational values.
 
-@dataclass(frozen=True)
-class AtomOutcomes:
+class AtomOutcomes(_Labels):
     """Outcomes are bare labels, e.g. the candidate elected."""
 
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
-            raise ValueError("an outcome space needs at least one value")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate outcome labels in {self.labels!r}")
+    _empty = "an outcome space needs at least one value"
+    _duplicate = "duplicate outcome labels in {!r}"
+    rank = _Labels._index
 
     @property
     def arity(self) -> int:
@@ -115,17 +131,6 @@ class AtomOutcomes:
 
     def all_outcomes(self) -> tuple[str, ...]:
         return self.labels
-
-    @cached_property
-    def _position(self) -> dict:
-        return {v: i for i, v in enumerate(self.labels)}
-
-    def rank(self, value) -> int:
-        try:
-            return self._position[value]
-        except (KeyError, TypeError):
-            # a value outside the space: raise what tuple.index raises
-            return self.labels.index(value)
 
     def __contains__(self, value):
         return isinstance(value, str) and value in self._position

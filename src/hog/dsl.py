@@ -39,7 +39,7 @@ from .core import (
     TargetCoord,
     VectorOutcomes,
 )
-from .engine import Game, OutcomeFunction, Player, game_problems
+from .engine import Game, OutcomeFunction, Player, _fmt_profile, game_problems
 from .errors import HogError, RenderError
 
 
@@ -622,8 +622,7 @@ def parse_game(src) -> ParseResult:
                 _err(
                     diags,
                     head,
-                    f"expected a payoff vector of {shape} rationals for "
-                    f"({', '.join(profile)})",
+                    f"expected a payoff vector of {shape} rationals for {_fmt_profile(profile)}",
                     "type-mismatch",
                 )
         if not entries:

@@ -40,6 +40,7 @@ ENGINE = "src/hog/engine.py"
 CORE = "src/hog/core.py"
 ENGINE_TESTS = ("tests/test_engine.py",)
 TABLE_TESTS = ("tests/test_tables.py",)
+CORE_TESTS = ("tests/test_core.py",)
 
 MUTANTS = (
     # byte-keyed deviation lines
@@ -142,6 +143,92 @@ MUTANTS = (
         "    def rank(self, value) -> int:\n        # lexicographic in declaration order",
         "    def _rank(self, value) -> int:\n        # lexicographic in declaration order",
         ("tests/test_bench_hooks.py",),
+    ),
+    # one ordered label set behind `MoveSet` and `AtomOutcomes`
+    Mutant(
+        "labels-empty-accepted", CORE,
+        "        if not self.labels:\n            raise ValueError(self._empty)\n",
+        "",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "labels-duplicates-accepted", CORE,
+        "        if len(set(self.labels)) != len(self.labels):\n"
+        "            raise ValueError(self._duplicate.format(self.labels))\n",
+        "",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "labels-kept-as-given", CORE,
+        'object.__setattr__(self, "labels", tuple(self.labels))',
+        'object.__setattr__(self, "labels", self.labels)',
+        CORE_TESTS,
+    ),
+    Mutant(
+        "label-positions-from-one", CORE,
+        "return {x: i for i, x in enumerate(self.labels)}",
+        "return {x: i for i, x in enumerate(self.labels, 1)}",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "label-lookup-leaks-its-key-error", CORE,
+        "            return self.labels.index(label)\n",
+        "            raise\n",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "move-set-takes-the-outcome-messages", CORE,
+        '    _empty = "a move set needs at least one move"\n'
+        '    _duplicate = "duplicate move labels in {!r}"\n',
+        '    _empty = "an outcome space needs at least one value"\n'
+        '    _duplicate = "duplicate outcome labels in {!r}"\n',
+        CORE_TESTS,
+    ),
+    Mutant(
+        "atom-membership-takes-non-str", CORE,
+        "return isinstance(value, str) and value in self._position",
+        "return value in self._position",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "label-lookups-bound-in-the-base", CORE,
+        "            return self.labels.index(label)\n\n",
+        "            return self.labels.index(label)\n\n    rank = index = _index\n\n",
+        CORE_TESTS,
+    ),
+    Mutant(
+        # `rank` still works, but through a base: the tracer wraps `vars(cls)["rank"]`
+        "atom-rank-out-of-the-class-body", CORE,
+        "class AtomOutcomes(_Labels):\n"
+        '    """Outcomes are bare labels, e.g. the candidate elected."""\n\n'
+        '    _empty = "an outcome space needs at least one value"\n'
+        '    _duplicate = "duplicate outcome labels in {!r}"\n'
+        "    rank = _Labels._index\n",
+        "class _RankedLabels(_Labels):\n    rank = _Labels._index\n\n\n"
+        "class AtomOutcomes(_RankedLabels):\n"
+        '    """Outcomes are bare labels, e.g. the candidate elected."""\n\n'
+        '    _empty = "an outcome space needs at least one value"\n'
+        '    _duplicate = "duplicate outcome labels in {!r}"\n',
+        ("tests/test_bench_hooks.py",),
+    ),
+    # payoff levels have one owner
+    Mutant(
+        "score-slice-at-coord", ENGINE,
+        "levels[p.selection.coord - 1 :: codomain.dim]",
+        "levels[p.selection.coord :: codomain.dim]",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "vector-membership-without-type-check", CORE,
+        "            and all(map(isinstance, value, repeat((int, Fraction))))\n",
+        "",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "levels-from-table-without-dedup", CORE,
+        "return cls(dim, tuple(dict(zip(map(_level_key, payoffs), payoffs)).values()))",
+        "return cls(dim, tuple(payoffs))",
+        ENGINE_TESTS,
     ),
     # tables accepted in bulk, walked only to diagnose
     Mutant(

@@ -1,5 +1,6 @@
 """Pointwise semantics of contexts, selection functions, and quantifiers."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -151,18 +152,11 @@ def test_direct_calls_keep_their_error_contracts():
 
 
 def test_move_set_invariants():
-    with pytest.raises(ValueError):
-        MoveSet(())
-    with pytest.raises(ValueError):
-        MoveSet(("A", "A"))
+    # emptiness, repeats and lookups: test_label_sets_keep_their_contract
     assert list(MoveSet(("C", "A"))) == ["C", "A"]  # declaration order kept
 
 
 def test_outcome_space_invariants():
-    with pytest.raises(ValueError):
-        AtomOutcomes(())
-    with pytest.raises(ValueError):
-        AtomOutcomes(("A", "A"))
     with pytest.raises(ValueError):
         VectorOutcomes(0, (0, 1))
     with pytest.raises(ValueError):
@@ -171,6 +165,57 @@ def test_outcome_space_invariants():
         VectorOutcomes(2, ())
     with pytest.raises(ValueError):
         ProductOutcomes(())
+
+
+# the two ordered label sets: (class, its lookup, the other's lookup, empty message, noun)
+_LABEL_SETS = {
+    "MoveSet": (MoveSet, "index", "rank", "a move set needs at least one move", "move"),
+    "AtomOutcomes": (
+        AtomOutcomes, "rank", "index", "an outcome space needs at least one value", "outcome"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, lookup, other, empty, noun", _LABEL_SETS.values(), ids=_LABEL_SETS
+)
+def test_label_sets_keep_their_contract(cls, lookup, other, empty, noun):
+    assert _raised(lambda: cls(())) == (ValueError, empty)
+    assert _raised(lambda: cls(("A", "A"))) == (
+        ValueError, f"duplicate {noun} labels in ('A', 'A')"
+    )
+    s = cls(["A", "B"])
+    assert type(s.labels) is tuple and s.labels == ("A", "B")
+    assert repr(s) == f"{cls.__name__}(labels=('A', 'B'))"
+    assert s == cls(("A", "B")) and hash(s) == hash(cls(("A", "B")))
+    assert s != cls(("B", "A"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.labels = ("B",)
+    assert [f.name for f in dataclasses.fields(cls)] == ["labels"]
+    # a lookup reads the position; a miss raises what tuple.index raises
+    find = getattr(s, lookup)
+    assert (find("A"), find("B")) == (0, 1)
+    for stranger in ("Z", ["A"]):
+        assert _raised(lambda: find(stranger)) == _raised(lambda: s.labels.index(stranger))
+        assert stranger not in s
+    assert not hasattr(cls, other)
+
+
+def test_label_sets_differ_across_classes_and_in_what_they_hold():
+    labels = ("A", "B")
+    assert MoveSet(labels) != AtomOutcomes(labels)
+    assert AtomOutcomes(labels) != MoveSet(labels)
+
+    class LooksLikeA:  # hashes and compares equal to "A", but is no str
+        def __hash__(self):
+            return hash("A")
+
+        def __eq__(self, other):
+            return other == "A"
+
+    assert LooksLikeA() in MoveSet(labels)
+    assert LooksLikeA() not in AtomOutcomes(labels)
+    assert 1 not in AtomOutcomes(labels)
 
 
 def test_projection_is_one_based_and_guarded():
