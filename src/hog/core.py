@@ -20,14 +20,22 @@ moves back to their outcomes calls the context on a move.  Every
 label-to-position lookup (`MoveSet.index`, `rank`,
 `PreferenceOrder.position`, and `VectorOutcomes._level_indices`, which every
 payoff-to-level lookup goes through) reads a dict built on first use.
-Membership reads the same dicts as positions: `in` a `MoveSet` or an
-`AtomOutcomes` is one lookup in its `_position`, never a scan of its labels,
-and a value that cannot hash is in neither.  Those two classes share one
-base, `_Labels`, the ordered label set: it owns the labels' checks, the
-`_position` dict and the one lookup that `MoveSet.index` and
-`AtomOutcomes.rank` both bind.  `PreferenceOrder` stays apart, since its
-field is `ranking`, it checks repeats before emptiness, and a value it does
-not rank raises `IncompleteOrderError`.
+`MoveSet` and `AtomOutcomes` share one base, `_Labels`, the ordered label
+set: it owns the labels' checks, the `_position` dict and the one lookup
+that `MoveSet.index` and `AtomOutcomes.rank` both bind.  `PreferenceOrder`
+stays apart, since its field is `ranking`, it checks repeats before
+emptiness, and a value it does not rank raises `IncompleteOrderError`.
+
+Membership is one rule per space, `_contains_all(values)`, which judges a
+whole sequence of values in a few C-level passes; `in` is that rule applied
+to one value, so a table accepted in bulk and a value tested alone can never
+disagree.  It reads the same dicts as positions, never scanning labels: a
+label set's values are found in its `_position` (a value that cannot hash is
+in none), an atom must also be a `str`, a profile is a tuple whose every
+column lies in its move set, and a payoff vector a tuple of `int`s or
+`Fraction`s whose every distinct payoff object is a level.  Each outcome
+space also gives the keys the solve kernel interns outcomes by (`_keys`):
+the outcomes themselves, or a payoff vector's tuple of level indices.
 """
 
 from __future__ import annotations
@@ -84,6 +92,13 @@ class _Labels:
             # a label outside the set: raise what tuple.index raises
             return self.labels.index(label)
 
+    def _contains_all(self, values) -> bool:
+        """Is each of `values`, a sequence, one of the labels?"""
+        try:
+            return self._position.keys() >= set(values)
+        except TypeError:  # an unhashable value is no label
+            return False
+
 
 class MoveSet(_Labels):
     """Ordered finite set of move labels; declaration order is canonical."""
@@ -99,10 +114,7 @@ class MoveSet(_Labels):
         return len(self.labels)
 
     def __contains__(self, label):
-        try:
-            return label in self._position
-        except TypeError:  # an unhashable value is no label
-            return False
+        return self._contains_all((label,))
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +131,6 @@ class AtomOutcomes(_Labels):
     _duplicate = "duplicate outcome labels in {!r}"
     rank = _Labels._index
 
-    @property
-    def arity(self) -> int:
-        return 0
-
     def size(self) -> int:
         return len(self.labels)
 
@@ -132,8 +140,14 @@ class AtomOutcomes(_Labels):
     def all_outcomes(self) -> tuple[str, ...]:
         return self.labels
 
+    def _contains_all(self, values) -> bool:
+        return all(map(isinstance, values, repeat(str))) and super()._contains_all(values)
+
     def __contains__(self, value):
-        return isinstance(value, str) and value in self._position
+        return self._contains_all((value,))
+
+    def _keys(self, values):
+        return values
 
 
 @dataclass(frozen=True)
@@ -168,12 +182,16 @@ class ProductOutcomes:
             r = r * len(m) + m.index(v)
         return r
 
-    def __contains__(self, value):
-        return (
-            isinstance(value, tuple)
-            and len(value) == len(self.coords)
-            and all(v in m for m, v in zip(self.coords, value))
+    def _contains_all(self, values) -> bool:
+        return _tuples_of(values, len(self.coords)) and all(
+            m._contains_all(column) for m, column in zip(self.coords, zip(*values))
         )
+
+    def __contains__(self, value):
+        return self._contains_all((value,))
+
+    def _keys(self, values):
+        return values
 
 
 _level_key = attrgetter("numerator", "denominator")  # the same for 1 and Fraction(1)
@@ -182,6 +200,11 @@ _level_key = attrgetter("numerator", "denominator")  # the same for 1 and Fracti
 def _exact(payoff) -> Fraction:
     """A payoff as a `Fraction`: one that is exactly a `Fraction` is kept."""
     return payoff if type(payoff) is Fraction else Fraction(payoff)
+
+
+def _tuples_of(values, n: int) -> bool:
+    """Is each of `values` a tuple (or a tuple subclass) of length `n`?"""
+    return all(map(isinstance, values, repeat(tuple))) and set(map(len, values)) <= {n}
 
 
 def _distinct_objects(values) -> list:
@@ -199,8 +222,9 @@ class VectorOutcomes:
     rule: a payoff (an int or a `Fraction`) is found by its
     `(numerator, denominator)` in `_level_of`, which gives its level index.
     `_level_indices` looks payoffs up in bulk for `rank`, `ArgmaxCoord` and
-    the solve kernel; `_from_table` builds the space a payoff table needs,
-    and `_contains_all` accepts a whole table's values at once.
+    `_keys`; `_from_table` builds the space a payoff table needs, and
+    `_contains_all`, this space's one membership rule, judges a whole
+    table's values at once.
     """
 
     dim: int
@@ -247,19 +271,23 @@ class VectorOutcomes:
         return list(map(self._level_of.__getitem__, map(_level_key, payoffs)))
 
     def _contains_all(self, values) -> bool:
-        """Are all of `values`, a list, in the space?  Checked in bulk, for
-        a whole outcome table: each value exactly a `tuple` of `dim`
-        payoffs, each payoff exactly an `int` or a `Fraction`, and each
-        distinct payoff object a level.  False also for values `in` would
-        take (a `bool`, a `Fraction` subclass, a tuple subclass); `in`
-        decides those."""
-        if set(map(type, values)) != {tuple} or set(map(len, values)) != {self.dim}:
+        """Is each of `values`, a sequence, in the space?  Each a tuple of
+        `dim` payoffs, each payoff an `int` or a `Fraction` (a `bool` or a
+        subclass too) whose value is a level; each distinct payoff object
+        is looked up once, since a table shares a few."""
+        if not _tuples_of(values, self.dim):
             return False
-        payoffs = list(chain.from_iterable(values))
-        if not set(map(type, payoffs)) <= {int, Fraction}:
-            return False
-        distinct = _distinct_objects(payoffs)
-        return all(map(self._level_of.__contains__, map(_level_key, distinct)))
+        payoffs = _distinct_objects(chain.from_iterable(values))
+        return all(map(isinstance, payoffs, repeat((int, Fraction)))) and all(
+            map(self._level_of.__contains__, map(_level_key, payoffs))
+        )
+
+    def _keys(self, values):
+        """Each of `values`' tuple of level indices: keys that hash and
+        compare as ints, far cheaper than `Fraction`s, and are equal exactly
+        when the vectors are, since the levels are distinct."""
+        levels = self._level_indices(chain.from_iterable(values))
+        return zip(*(levels[c :: self.dim] for c in range(self.dim)))
 
     def rank(self, value) -> int:
         base = len(self.levels)
@@ -269,12 +297,7 @@ class VectorOutcomes:
         return r
 
     def __contains__(self, value):
-        return (
-            isinstance(value, tuple)
-            and len(value) == self.dim
-            and all(map(isinstance, value, repeat((int, Fraction))))
-            and all(map(self._level_of.__contains__, map(_level_key, value)))
-        )
+        return self._contains_all((value,))
 
 
 OutcomeSpace = Union[AtomOutcomes, ProductOutcomes, VectorOutcomes]
@@ -495,16 +518,20 @@ class ArgmaxOrder(SelectionFunction):
 class ArgmaxCoord(SelectionFunction):
     """Moves maximising one payoff coordinate; the shape of classical players.
 
-    Payoffs are compared by level index (`VectorOutcomes._level_indices`),
-    not as `Fraction`s: levels are sorted, so the best index is the best
-    payoff.
+    Payoffs are compared by level index (`_scores`), not as `Fraction`s:
+    levels are sorted, so the best index is the best payoff.  The solve
+    kernel reads the same scores for a whole table.
     """
 
     coord: int
 
+    def _scores(self, codomain: VectorOutcomes, values) -> list:
+        """The level index of payoff `coord` of each of `values`, in order."""
+        return codomain._level_indices(map(itemgetter(self.coord - 1), values))
+
     def __call__(self, p: GameContext) -> tuple:
         _check_vector_coord(p.codomain, self.coord)
-        scores = p.codomain._level_indices(map(itemgetter(self.coord - 1), p.table))
+        scores = self._scores(p.codomain, p.table)
         return _where(p, eq, scores, repeat(max(scores)))
 
 

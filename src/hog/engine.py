@@ -16,12 +16,13 @@ the profile order everywhere.
 Outcome tables are accepted in bulk and diagnosed by a walk.
 `_table_problems` first tries `_table_accepted`: as many entries as
 profiles, every profile among them, and every value good, checked in a few
-C-level set and map passes over the whole table (for vector outcomes,
-`VectorOutcomes._contains_all` looks each distinct payoff object up once).
-Only a table that fails that is walked entry by entry (`_table_walk`),
-which reports every problem, located, in a fixed order.  So a valid table
-costs no Python-level call per entry, and an invalid one gets the same
-diagnostics as before.
+C-level set and map passes over the whole table.  Values are judged by one
+rule, whatever the space: its `_contains_all`, which `in` applies to one
+value (a `PayoffMatrix` passes its own rule, on payoff counts).  Only a
+table that fails that is walked entry by entry (`_table_walk`), which asks
+the same rule of each value and reports every problem, located, in a fixed
+order.  So a valid table costs no Python-level call per entry, and an
+invalid one gets the same diagnostics as before.
 
 How `enumerate_equilibria` sweeps.  Profile k is entry k of one flat list
 in that order, a mixed-radix number whose last digit is the last player's
@@ -33,14 +34,13 @@ and every profile on it hands player i the same context.
    functions are called once per profile.
 2. Intern.  Equal outcomes share a dense id, 0..D-1 in order of first
    appearance, and `by_id` keeps one representative outcome per id (the
-   first profile's), so each outcome is hashed once.  With at most 256
-   ids, `ids`, one id per profile, is a `bytes`; else a list.  A payoff
-   vector is keyed by its tuple of level indices, not by its Fractions:
-   `VectorOutcomes._level_indices` looks every payoff of the table up
-   once, in bulk, into one flat list of level indices, profile by profile,
-   and the keys zip that list's coordinate slices (the levels are
-   distinct, so equal keys mean equal vectors).  When every player takes
-   the score path (below), no ids are needed and none are made.
+   first profile's), so each key is hashed once.  The outcome space gives
+   the keys (`_keys`): atoms and profiles key themselves, and a payoff
+   vector is keyed by its tuple of level indices, not by its Fractions
+   (`VectorOutcomes._keys` looks every payoff of the table up once, in
+   bulk).  With at most 256 ids, `ids`, one id per profile, is a `bytes`;
+   else a list.  When every player takes the score path (below), no ids
+   are needed and none are made.
 3. Sweep, player by player (`_player_flags`).  Column j lists, line by
    line, the id at the profile where the player plays move j;
    `_move_slices` says where those sit, so the columns are filled by slice
@@ -74,7 +74,8 @@ and every profile on it hands player i the same context.
    A goal that is exactly `ArgmaxCoord` (so `Game` has checked that the
    outcomes are vectors) takes the score path: it is never called, and no
    key is built.  Its columns hold each move's score, the level index of
-   its payoff coordinate, read from the flat level list as one slice.  A
+   its payoff coordinate, as `ArgmaxCoord._scores` gives it for the whole
+   table: the scores its own call compares.  A
    move whose score is below the best on its line fails both concepts
    (flag byte 3; the goal is closed, so the two verdicts agree) and every
    other move passes both.  Subclasses, `Lex` and every other goal are
@@ -96,7 +97,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import add, eq, itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -299,23 +300,20 @@ def game_problems(
             yield GameProblem(message, ValueError, "type-mismatch", game)
     else:
         yield from _table_problems(
-            profiles, fn.entries,
-            lambda value: None if value in outcomes else "lies outside the outcome space",
-            outcomes._contains_all if isinstance(outcomes, VectorOutcomes) else None,
+            profiles, fn.entries, outcomes._contains_all, "lies outside the outcome space"
         )
 
 
-def _table_problems(profiles, entries, value_problem, values_ok=None) -> Iterator[GameProblem]:
+def _table_problems(profiles, entries, values_ok, message) -> Iterator[GameProblem]:
     """Every reason `entries` is not a total table over `profiles`, the
     `ProductOutcomes` of the move sets, as `_table_walk` finds them.
 
-    A valid table is accepted in bulk (`_table_accepted`), and only a table
-    that fails that is walked entry by entry, to diagnose it.
-    `values_ok(values)` judges the list of every value at once; by default
-    it asks `value_problem` of each value."""
-    values_ok = values_ok or (lambda values: not any(map(value_problem, values)))
+    `values_ok(values)` is the one rule for values: it judges a sequence
+    of them at once, and `message` says what is wrong with a value it
+    rejects.  A valid table is accepted in bulk (`_table_accepted`), and
+    only a table that fails that is walked entry by entry, to diagnose it."""
     if not _table_accepted(profiles, entries, values_ok):
-        yield from _table_walk(profiles, entries, value_problem)
+        yield from _table_walk(profiles, entries, values_ok, message)
 
 
 def _table_accepted(profiles, entries, values_ok) -> bool:
@@ -336,13 +334,14 @@ def _table_accepted(profiles, entries, values_ok) -> bool:
     )
 
 
-def _table_walk(profiles, entries, value_problem) -> Iterator[GameProblem]:
+def _table_walk(profiles, entries, values_ok, message) -> Iterator[GameProblem]:
     """Every reason `entries` is not a total table over `profiles`, found
     entry by entry.
 
     Per entry, in the order given: its profile's shape (is it one of
-    `profiles`?), a repeat, then what `value_problem(value)` finds wrong
-    (None if nothing).  Then the misses, the first in `profiles` order."""
+    `profiles`?), a repeat, then its value, which `values_ok((value,))`
+    judges and `message` describes.  Then the misses, the first in
+    `profiles` order."""
     listed = set()
     for k, (profile, value) in enumerate(entries):
         if profile not in profiles:
@@ -357,10 +356,9 @@ def _table_walk(profiles, entries, value_problem) -> Iterator[GameProblem]:
             )
         else:
             listed.add(profile)
-            problem = value_problem(value)
-            if problem:
+            if not values_ok((value,)):
                 yield GameProblem(
-                    f"outcome for {_fmt_profile(profile)} {problem}",
+                    f"outcome for {_fmt_profile(profile)} {message}",
                     ValueError, "type-mismatch", ("entry", k),
                 )
     total = profiles.size()
@@ -581,24 +579,24 @@ def _scored(p: Player) -> bool:
 
 
 def _player_flags(
-    p: Player, codomain: OutcomeSpace, by_id: Optional[list], levels: Optional[list],
+    p: Player, codomain: OutcomeSpace, outcomes: list, by_id: Optional[list],
     ids: Optional[bytes | list], total: int, block: int,
 ) -> bytearray:
     """Player p's flags, one byte per profile, laid out as `_defections` says.
 
-    `ids` is the interned table, one dense id per profile (a `bytes` when
-    there are at most 256 ids, else a list; None when every player takes
-    the score path), `by_id` one outcome per id, and `levels` (vector
-    outcomes only) the level index of every payoff of the table, flattened
-    profile by profile; `block` is the product of the move counts of p and
-    every later player.
+    `outcomes` is the tabulated table, one outcome per profile, `ids` the
+    interned table, one dense id per profile (a `bytes` when there are at
+    most 256 ids, else a list; None when every player takes the score
+    path), and `by_id` one outcome per id; `block` is the product of the
+    move counts of p and every later player.
 
     A goal that is exactly `ArgmaxCoord` takes the score path and is never
-    called.  Every other goal runs once per distinct line key, in the order
-    a line walk meets them.  A line is keyed by one byte, `Σ id_j · D**j`
-    over its ids (`_byte_keyed_flags`), when the ids are bytes, D**k <= 256
-    for D ids and k moves, and the player has more lines than D**k; else
-    by the tuple of its ids.  The module docstring says how.
+    called: its scores are `ArgmaxCoord._scores` of `outcomes`.  Every
+    other goal runs once per distinct line key, in the order a line walk
+    meets them.  A line is keyed by one byte, `Σ id_j · D**j` over its ids
+    (`_byte_keyed_flags`), when the ids are bytes, D**k <= 256 for D ids
+    and k moves, and the player has more lines than D**k; else by the tuple
+    of its ids.  The module docstring says how.
     """
     k = len(p.moves)
     lines, stride = total // k, block // k
@@ -607,7 +605,7 @@ def _player_flags(
     # D**k over at most 9 moves: past 8 it exceeds 256 unless D is 1, and a
     # power over a million moves would take seconds
     by_byte = not scored and isinstance(ids, bytes) and len(by_id) ** min(k, 9) < min(257, lines)
-    source = levels[p.selection.coord - 1 :: codomain.dim] if scored else ids
+    source = p.selection._scores(codomain, outcomes) if scored else ids
     blank = bytearray(lines) if by_byte else [0] * lines
     columns = [blank.copy() for _ in range(k)]
     for column, pairs in zip(columns, where):
@@ -679,22 +677,16 @@ def enumerate_equilibria(
             f"{total} profiles exceed the budget of {max_profiles}"
         )
     outcomes = game.outcome_fn._tabulate(tuple(p.moves for p in game.players))
-    keys, levels = outcomes, None
-    if isinstance(game.outcomes, VectorOutcomes):
-        # level indices hash and compare as ints, far cheaper than Fractions
-        dim = game.outcomes.dim
-        levels = game.outcomes._level_indices(chain.from_iterable(outcomes))
-        keys = zip(*(levels[c::dim] for c in range(dim)))
     ids = by_id = None
     if not all(map(_scored, game.players)):
         first = {}  # key -> the index of the first profile with that key
-        at = list(map(first.setdefault, keys, count()))
+        at = list(map(first.setdefault, game.outcomes._keys(outcomes), count()))
         dense = dict(zip(first.values(), count()))  # first index -> dense id
         by_id = list(map(outcomes.__getitem__, dense))
         ids = (bytes if len(by_id) <= 256 else list)(map(dense.__getitem__, at))
     flags, block = [], total  # per player: one flag byte per profile
     for p in game.players:
-        flags.append(_player_flags(p, game.outcomes, by_id, levels, ids, total, block))
+        flags.append(_player_flags(p, game.outcomes, outcomes, by_id, ids, total, block))
         block //= len(p.moves)
     verdicts = _Verdicts(tuple(p.name for p in game.players))
     # a row's fields: its profile and outcome, then its decoded verdicts
@@ -731,7 +723,7 @@ class PayoffMatrix:
         ent = tuple((profile, tuple(map(_exact, pay))) for profile, pay in _entries(self.entries))
         for problem in _table_problems(
             ProductOutcomes(self.move_sets), ent,
-            lambda payoffs: None if len(payoffs) == n else f"needs {n} payoffs",
+            lambda values: set(map(len, values)) <= {n}, f"needs {n} payoffs",
         ):
             raise problem.error(problem.message)
         object.__setattr__(self, "entries", ent)

@@ -96,14 +96,14 @@ MUTANTS = (
     # one owner of profiles and labels
     Mutant(
         "move-set-membership-by-scan", CORE,
-        "            return label in self._position\n",
-        "            return label in self.labels\n",
+        "            return self._position.keys() >= set(values)\n",
+        "            return all(map(self.labels.__contains__, values))\n",
         ENGINE_TESTS,
     ),
     Mutant(
         "atom-membership-by-scan", CORE,
-        "return isinstance(value, str) and value in self._position",
-        "return isinstance(value, str) and value in self.labels",
+        "and super()._contains_all(values)",
+        "and all(map(self.labels.__contains__, values))",
         ENGINE_TESTS,
     ),
     Mutant(
@@ -186,8 +186,8 @@ MUTANTS = (
     ),
     Mutant(
         "atom-membership-takes-non-str", CORE,
-        "return isinstance(value, str) and value in self._position",
-        "return value in self._position",
+        "all(map(isinstance, values, repeat(str)))",
+        "all(map(isinstance, values, repeat(object)))",
         CORE_TESTS,
     ),
     Mutant(
@@ -213,16 +213,24 @@ MUTANTS = (
     ),
     # payoff levels have one owner
     Mutant(
-        "score-slice-at-coord", ENGINE,
-        "levels[p.selection.coord - 1 :: codomain.dim]",
-        "levels[p.selection.coord :: codomain.dim]",
+        "score-slice-at-coord", CORE,
+        "map(itemgetter(self.coord - 1), values)",
+        "map(itemgetter(self.coord), values)",
         ENGINE_TESTS,
     ),
     Mutant(
         "vector-membership-without-type-check", CORE,
-        "            and all(map(isinstance, value, repeat((int, Fraction))))\n",
-        "",
+        "return all(map(isinstance, payoffs, repeat((int, Fraction)))) and all(\n"
+        "            map(self._level_of.__contains__, map(_level_key, payoffs))\n"
+        "        )\n",
+        "return all(map(self._level_of.__contains__, map(_level_key, payoffs)))\n",
         CORE_TESTS,
+    ),
+    Mutant(
+        "vector-keys-drop-a-coordinate", CORE,
+        "for c in range(self.dim))",
+        "for c in range(self.dim - 1))",
+        ENGINE_TESTS,
     ),
     Mutant(
         "levels-from-table-without-dedup", CORE,
@@ -251,27 +259,59 @@ MUTANTS = (
     ),
     Mutant(
         "table-accept-values-unchecked", ENGINE,
-        "values_ok = values_ok or (lambda values: not any(map(value_problem, values)))",
-        "values_ok = values_ok or (lambda values: True)",
+        "and values_ok(\n        list(map(itemgetter(1), entries))",
+        "and bool(\n        list(map(itemgetter(1), entries))",
         TABLE_TESTS,
     ),
+    # one membership rule per space: `in` is the bulk rule on one value, so
+    # the walk and the accept agree under these, and the pinned cases of
+    # `in` in tests/test_core.py kill them
     Mutant(
-        "vector-accept-by-isinstance", CORE,
-        "if not set(map(type, payoffs)) <= {int, Fraction}:",
-        "if not all(map(isinstance, payoffs, repeat((int, Fraction)))):",
-        TABLE_TESTS,
+        "vector-accept-by-exact-type", CORE,
+        "all(map(isinstance, payoffs, repeat((int, Fraction))))",
+        "set(map(type, payoffs)) <= {int, Fraction}",
+        CORE_TESTS,
     ),
     Mutant(
         "vector-accept-without-dim", CORE,
-        "set(map(type, values)) != {tuple} or set(map(len, values)) != {self.dim}",
-        "set(map(type, values)) != {tuple}",
-        TABLE_TESTS,
+        "        if not _tuples_of(values, self.dim):\n",
+        "        if not all(map(isinstance, values, repeat(tuple))):\n",
+        CORE_TESTS,
     ),
     Mutant(
         "vector-accept-without-tuple-type", CORE,
-        "set(map(type, values)) != {tuple} or set(map(len, values)) != {self.dim}",
-        "set(map(len, values)) != {self.dim}",
-        TABLE_TESTS,
+        "return all(map(isinstance, values, repeat(tuple))) and set(map(len, values)) <= {n}",
+        "return set(map(len, values)) <= {n}",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "tuple-check-without-length", CORE,
+        " and set(map(len, values)) <= {n}",
+        "",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "atom-bulk-without-str-check", CORE,
+        "return all(map(isinstance, values, repeat(str))) and super()._contains_all(values)",
+        "return super()._contains_all(values)",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "product-bulk-without-column-check", CORE,
+        "return _tuples_of(values, len(self.coords)) and all(\n"
+        "            m._contains_all(column) for m, column in zip(self.coords, zip(*values))\n"
+        "        )",
+        "return _tuples_of(values, len(self.coords))",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "move-set-bulk-lets-type-error-escape", CORE,
+        "        try:\n"
+        "            return self._position.keys() >= set(values)\n"
+        "        except TypeError:  # an unhashable value is no label\n"
+        "            return False\n",
+        "        return self._position.keys() >= set(values)\n",
+        CORE_TESTS,
     ),
     Mutant(
         "distinct-payoffs-by-value", CORE,

@@ -201,21 +201,73 @@ def test_label_sets_keep_their_contract(cls, lookup, other, empty, noun):
     assert not hasattr(cls, other)
 
 
+class LooksLikeA:
+    """Hashes and compares equal to "A", but is no str."""
+
+    def __hash__(self):
+        return hash("A")
+
+    def __eq__(self, other):
+        return other == "A"
+
+
 def test_label_sets_differ_across_classes_and_in_what_they_hold():
     labels = ("A", "B")
     assert MoveSet(labels) != AtomOutcomes(labels)
     assert AtomOutcomes(labels) != MoveSet(labels)
-
-    class LooksLikeA:  # hashes and compares equal to "A", but is no str
-        def __hash__(self):
-            return hash("A")
-
-        def __eq__(self, other):
-            return other == "A"
-
     assert LooksLikeA() in MoveSet(labels)
     assert LooksLikeA() not in AtomOutcomes(labels)
     assert 1 not in AtomOutcomes(labels)
+
+
+class _Label(str):
+    pass
+
+
+class _Profile(tuple):
+    pass
+
+
+class _Payoff(Fraction):
+    pass
+
+
+_PAYOFFS = VectorOutcomes(2, (0, Fraction(1, 2), 1))
+
+#: (space, value, is it in the space?), one row per membership rule
+_MEMBERSHIP = {
+    "move-str-subclass": (AB, _Label("A"), True),
+    "move-looks-like-a": (AB, LooksLikeA(), True),
+    "move-unhashable": (AB, ["A"], False),
+    "move-unknown": (AB, "Z", False),
+    "atom-str-subclass": (ATOMS_AB, _Label("B"), True),
+    "atom-looks-like-a": (ATOMS_AB, LooksLikeA(), False),
+    "atom-non-str": (ATOMS_AB, 1, False),
+    "atom-unhashable": (ATOMS_AB, ["A"], False),
+    "product-tuple": (PROD_EG, ("E", "G"), True),
+    "product-tuple-subclass": (PROD_EG, _Profile(("E", "G")), True),
+    "product-str-subclass": (PROD_EG, (_Label("E"), "G"), True),
+    "product-list": (PROD_EG, ["E", "G"], False),
+    "product-unhashable-coordinate": (PROD_EG, (["E"], "G"), False),
+    "product-wrong-length": (PROD_EG, ("E",), False),
+    "product-non-move": (PROD_EG, ("E", "Z"), False),
+    "vector-fractions": (_PAYOFFS, (Fraction(1, 2), Fraction(0)), True),
+    "vector-tuple-subclass": (_PAYOFFS, _Profile((Fraction(1, 2), Fraction(0))), True),
+    "vector-bool": (_PAYOFFS, (True, False), True),
+    "vector-fraction-subclass": (_PAYOFFS, (_Payoff(1, 2), Fraction(1)), True),
+    "vector-int": (_PAYOFFS, (1, 0), True),
+    "vector-list": (_PAYOFFS, [Fraction(0), Fraction(1)], False),
+    "vector-unhashable-coordinate": (_PAYOFFS, ([0], Fraction(1)), False),
+    "vector-wrong-length": (_PAYOFFS, (Fraction(0), Fraction(1), Fraction(1)), False),
+    "vector-float": (_PAYOFFS, (0.5, Fraction(1)), False),
+    "vector-str": (_PAYOFFS, (Fraction(0), "1"), False),
+    "vector-non-level": (_PAYOFFS, (Fraction(0), Fraction(7, 11)), False),
+}
+
+
+@pytest.mark.parametrize("space, value, member", _MEMBERSHIP.values(), ids=_MEMBERSHIP)
+def test_membership_in_every_space(space, value, member):
+    assert (value in space) is member
 
 
 def test_projection_is_one_based_and_guarded():
@@ -227,6 +279,11 @@ def test_projection_is_one_based_and_guarded():
         projection(PROD_EG, ("E", "G"), 0)
     with pytest.raises(TypeMismatchError):
         projection(ATOMS_AB, "A", 1)
+    # a payoff vector's coordinates run 1..dim
+    pay = (Fraction(0), Fraction(1))
+    assert projection(_PAYOFFS, pay, 2) == Fraction(1)
+    with pytest.raises(CoordinateOutOfRangeError, match=r"coordinate 3 out of range 1\.\.2"):
+        projection(_PAYOFFS, pay, 3)
 
 
 def test_vector_levels_are_exact_rationals():

@@ -4,7 +4,9 @@
 table, and walks the table (`_table_walk`) only when that fails.  The walk
 is the reference: these tests draw small tables, valid or with one fault,
 and check that the accept holds exactly when the walk finds nothing, and
-that `Game` and `PayoffMatrix` report what the walk reports.
+that `Game` and `PayoffMatrix` report what the walk reports.  Both judge
+values by one rule, the space's `_contains_all`; what that rule takes is
+pinned by `test_core.test_membership_in_every_space`.
 """
 
 from fractions import Fraction
@@ -37,7 +39,7 @@ class _Anything(SelectionFunction):
 
 
 class _Half(Fraction):
-    """A `Fraction` subclass: `in` a vector space takes it, the accept does not."""
+    """A `Fraction` subclass: a vector space takes it if its value is a level."""
 
 
 _LEVEL_POOL = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -48,11 +50,11 @@ _PROFILE_FAULTS = ("wrong-length", "unknown-move", "repeat", "missing", "unhasha
 _VALUE_FAULTS = {
     "atom": ("unknown-value", "non-str"),
     "product": ("non-tuple", "wrong-length-value", "unknown-value"),
-    "vector": ("non-tuple", "wrong-dim", "non-level", "bool", "str", "fraction-subclass"),
+    "vector": (
+        "non-tuple", "wrong-dim", "non-level", "bool", "str", "float", "fraction-subclass"
+    ),
     "matrix": ("wrong-dim",),
 }
-#: faults the walk may take but the accept never does
-_EXOTIC = {"bool", "fraction-subclass"}
 
 
 @st.composite
@@ -111,15 +113,13 @@ def _inject(draw, kind, space, move_sets, entries, fault):
             # True is 1 and False is 0: a level, if either is one
             "bool": lambda: v[:-1] + (Fraction(1) in space.levels,),
             "str": lambda: v[:-1] + ("1",),
+            # equal to a level, but no int or Fraction
+            "float": lambda: v[:-1] + (float(space.levels[-1]),),
             "fraction-subclass": lambda: v[:-1] + (_Half(space.levels[-1]),),
             "unknown-value": lambda: "Z" if kind == "atom" else ("z",) * len(move_sets),
             "non-str": lambda: ("A",),
             "wrong-length-value": lambda: v + ("a",),
         }[fault]()
-
-
-def _outside(space):
-    return lambda value: None if value in space else "lies outside the outcome space"
 
 
 def _problems(problems):
@@ -132,13 +132,10 @@ def test_a_game_table_is_accepted_in_bulk_exactly_when_the_walk_finds_nothing(ta
     move_sets, space, entries, fault = table
     profiles = ProductOutcomes(move_sets)
     ent = _entries(entries)
-    values_ok = space._contains_all if isinstance(space, VectorOutcomes) else None
-    walked = _problems(_table_walk(profiles, ent, _outside(space)))
-    accepted = _table_accepted(
-        profiles, ent, values_ok or (lambda values: all(map(space.__contains__, values)))
-    )
-    assert accepted == (not walked and fault not in _EXOTIC)
-    assert _problems(_table_problems(profiles, ent, _outside(space), values_ok)) == walked
+    outside = "lies outside the outcome space"
+    walked = _problems(_table_walk(profiles, ent, space._contains_all, outside))
+    assert _table_accepted(profiles, ent, space._contains_all) == (not walked)
+    assert _problems(_table_problems(profiles, ent, space._contains_all, outside)) == walked
     players = tuple(Player(f"P{i}", ms, _Anything()) for i, ms in enumerate(move_sets))
     if walked:
         error, message, _ = walked[0]
@@ -158,14 +155,13 @@ def test_a_payoff_matrix_is_accepted_in_bulk_exactly_when_the_walk_finds_nothing
     n, profiles = len(move_sets), ProductOutcomes(move_sets)
     ent = tuple((tuple(s), tuple(map(Fraction, pay))) for s, pay in entries)
 
-    def rule(payoffs):
-        return None if len(payoffs) == n else f"needs {n} payoffs"
+    def values_ok(values):
+        return set(map(len, values)) <= {n}
 
-    walked = _problems(_table_walk(profiles, ent, rule))
-    assert _table_accepted(profiles, ent, lambda values: not any(map(rule, values))) == (
-        not walked
-    )
-    assert _problems(_table_problems(profiles, ent, rule)) == walked
+    needs = f"needs {n} payoffs"
+    walked = _problems(_table_walk(profiles, ent, values_ok, needs))
+    assert _table_accepted(profiles, ent, values_ok) == (not walked)
+    assert _problems(_table_problems(profiles, ent, values_ok, needs)) == walked
     names = tuple(f"P{i}" for i in range(1, n + 1))
     if walked:
         error, message, _ = walked[0]
@@ -223,3 +219,17 @@ def test_a_valid_matrix_is_built_without_per_entry_checks(monkeypatch):
     bad[7] = (("m0", "m9", "m0"), bad[7][1])
     with pytest.raises(InvalidProfileError, match=r"^profile \(m0, m9, m0\) does not match"):
         PayoffMatrix("m", names, move_sets, bad)
+
+
+def test_valid_atom_and_product_tables_are_built_without_per_entry_checks(monkeypatch):
+    calls = {}
+    for cls in (AtomOutcomes, ProductOutcomes, MoveSet):
+        _counted(monkeypatch, cls, "__contains__", calls)
+    move_sets = (MoveSet(_MOVES),) * 3
+    players = tuple(Player(f"P{i}", ms, _Anything()) for i, ms in enumerate(move_sets))
+    profiles = list(product(_MOVES, repeat=3))
+    atoms = [(s, "ABC"[k % 3]) for k, s in enumerate(profiles)]
+    Game("atoms", players, AtomOutcomes(("A", "B", "C")), outcome_table(atoms))
+    reversed_profiles = [(s, s[::-1]) for s in profiles]
+    Game("profiles", players, ProductOutcomes(move_sets), outcome_table(reversed_profiles))
+    assert calls == {}  # each space judged every value at once, by `_contains_all`
