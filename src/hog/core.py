@@ -36,6 +36,16 @@ column lies in its move set, and a payoff vector a tuple of `int`s or
 `Fraction`s whose every distinct payoff object is a level.  Each outcome
 space also gives the keys the solve kernel interns outcomes by (`_keys`):
 the outcomes themselves, or a payoff vector's tuple of level indices.
+Callers ask the rule once about a whole sequence: a context's table, an
+order's ranking, a table row's moves, the majority winners, a profile.
+Only a sequence that fails is walked value by value with `in`, to name its
+first value outside, so valid input makes no per-value call.
+
+Goals that differ only in `eq` against `ne` share one body: `Fix` and
+`NonFix` subclass `_Fixpoints`, `FixProj` and `NonFixProj` subclass
+`_Projections`, and each subclass only sets the comparison, `_op`.  The
+base owns the shape check, the comparison and the fallback, and
+`check_shape` tests the base.
 """
 
 from __future__ import annotations
@@ -325,8 +335,10 @@ class GameContext:
     """A total map from one player's moves to outcomes.
 
     `table` holds the value at each move, aligned with `domain.labels`; a
-    mapping is accepted and reordered.  Contexts are hashable so they can
-    key lookup tables.
+    mapping is accepted and reordered.  The codomain judges the whole table
+    at once (`_contains_all`); only a table it rejects is walked, to name
+    the first value outside.  Contexts are hashable so they can key lookup
+    tables.
     """
 
     domain: MoveSet
@@ -345,9 +357,9 @@ class GameContext:
                 raise ValueError(
                     f"context table has {len(t)} entries for {len(self.domain)} moves"
                 )
-        for v in t:
-            if v not in self.codomain:
-                raise ValueError(f"context value {v!r} lies outside the outcome space")
+        if not self.codomain._contains_all(t):
+            v = next(v for v in t if v not in self.codomain)
+            raise ValueError(f"context value {v!r} lies outside the outcome space")
         object.__setattr__(self, "table", t)
 
     @classmethod
@@ -536,45 +548,56 @@ class ArgmaxCoord(SelectionFunction):
 
 
 @dataclass(frozen=True)
-class Fix(SelectionFunction):
+class _Fixpoints(SelectionFunction):
+    """Moves whose outcome passes `_op` against the move itself; every move
+    if none do.  The base of `Fix` and `NonFix`.
+
+    Each subclass sets `_op`, `eq` or `ne`, and takes no decorator of its
+    own, as `MoveSet` and `AtomOutcomes` do with `_Labels`: the generated
+    `repr` and `==` read the instance's class, so `Fix() != NonFix()`.
+    """
+
+    def __call__(self, p: GameContext) -> tuple:
+        _check_atoms_match(p.domain, p.codomain)
+        return _with_fallback(p, _where(p, self._op, p.table, p.domain.labels))
+
+
+class Fix(_Fixpoints):
     """Moves the context maps to themselves; every move if none do."""
 
-    def __call__(self, p: GameContext) -> tuple:
-        _check_atoms_match(p.domain, p.codomain)
-        return _with_fallback(p, _where(p, eq, p.table, p.domain.labels))
+    _op = eq
 
 
-@dataclass(frozen=True)
-class NonFix(SelectionFunction):
+class NonFix(_Fixpoints):
     """Moves the context does not map to themselves; every move if all do."""
 
-    def __call__(self, p: GameContext) -> tuple:
-        _check_atoms_match(p.domain, p.codomain)
-        return _with_fallback(p, _where(p, ne, p.table, p.domain.labels))
+    _op = ne
 
 
 @dataclass(frozen=True)
-class FixProj(SelectionFunction):
+class _Projections(SelectionFunction):
+    """Moves whose outcome's coordinate `coord` passes `_op` against the
+    move itself; every move if none do.  The base of `FixProj` and
+    `NonFixProj`, which set `_op` as `_Fixpoints`' subclasses do."""
+
+    coord: int
+
+    def __call__(self, p: GameContext) -> tuple:
+        _check_product(p.codomain, self.coord)
+        picks = map(itemgetter(self.coord - 1), p.table)
+        return _with_fallback(p, _where(p, self._op, picks, p.domain.labels))
+
+
+class FixProj(_Projections):
     """Moves agreeing with coordinate `coord` of the outcome; conformists."""
 
-    coord: int
-
-    def __call__(self, p: GameContext) -> tuple:
-        _check_product(p.codomain, self.coord)
-        picks = map(itemgetter(self.coord - 1), p.table)
-        return _with_fallback(p, _where(p, eq, picks, p.domain.labels))
+    _op = eq
 
 
-@dataclass(frozen=True)
-class NonFixProj(SelectionFunction):
+class NonFixProj(_Projections):
     """Moves disagreeing with coordinate `coord` of the outcome; contrarians."""
 
-    coord: int
-
-    def __call__(self, p: GameContext) -> tuple:
-        _check_product(p.codomain, self.coord)
-        picks = map(itemgetter(self.coord - 1), p.table)
-        return _with_fallback(p, _where(p, ne, picks, p.domain.labels))
+    _op = ne
 
 
 @dataclass(frozen=True)
@@ -727,13 +750,17 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
     """Validate a selection function or quantifier against spaces up front.
 
     Raises the same errors evaluation would, but without needing a context,
-    so ill-typed games are rejected at construction time.
+    so ill-typed games are rejected at construction time.  An order's
+    ranking and each table row's moves are asked of their space once, as a
+    whole (`_contains_all`); only one that fails is walked value by value,
+    to name the first value outside.  The mirrored goals are checked by
+    their shared bases, `_Fixpoints` and `_Projections`.
     """
     if isinstance(obj, ArgmaxOrder):
         # the ranking is duplicate-free, so counting its in-space values
         # tells whether it covers the space without enumerating the space
         ranking = obj.order.ranking
-        extra = [v for v in ranking if v not in codomain]
+        extra = [] if codomain._contains_all(ranking) else [v for v in ranking if v not in codomain]
         missing = codomain.size() - (len(ranking) - len(extra))
         if missing:
             ranked = set(ranking)
@@ -747,9 +774,9 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
             )
     elif isinstance(obj, ArgmaxCoord):
         _check_vector_coord(codomain, obj.coord)
-    elif isinstance(obj, (Fix, NonFix)):
+    elif isinstance(obj, _Fixpoints):
         _check_atoms_match(domain, codomain)
-    elif isinstance(obj, (FixProj, NonFixProj, TargetCoord)):
+    elif isinstance(obj, (_Projections, TargetCoord)):
         _check_product(codomain, obj.coord)
     elif isinstance(obj, Coord):
         _check_coord(codomain)
@@ -760,9 +787,9 @@ def check_shape(obj, domain: MoveSet, codomain: OutcomeSpace) -> None:
         for ctx, moves in obj.entries:
             if ctx.domain != domain or ctx.codomain != codomain:
                 raise TypeMismatchError("table selection row built over different spaces")
-            for m in moves:
-                if m not in domain:
-                    raise TypeMismatchError(f"table selection picks unknown move {m!r}")
+            if not domain._contains_all(moves):
+                m = next(m for m in moves if m not in domain)
+                raise TypeMismatchError(f"table selection picks unknown move {m!r}")
         contexts = codomain.size() ** len(domain)
         if len(obj._lookup) != contexts:
             raise TypeMismatchError(

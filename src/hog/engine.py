@@ -8,7 +8,8 @@ and ask their selection function, or its lift, whether the profile stands.
 
 Strategy profiles have one owner: the `ProductOutcomes` of the players'
 move sets (`Game._profiles`).  It lists them (`iter_outcomes`), counts them
-(`size`), says which tuples are profiles (`in`) and indexes them (`rank`),
+(`size`), says which tuples are profiles (`_contains_all`, which
+`Game.check_profile` asks of one whole profile) and indexes them (`rank`),
 for `Game`, table validation, tabulation, `EquilibriumReport.row` and
 `PayoffMatrix` alike.  Its order, lexicographic in declaration order, is
 the profile order everywhere.
@@ -294,7 +295,7 @@ def game_problems(
             message = "majority rule needs atom outcomes"
         elif any(set(ms) != set(move_sets[0]) for ms in move_sets):
             message = "majority rule needs every player to share one move set"
-        elif any(label not in outcomes for label in move_sets[0]):
+        elif not outcomes._contains_all(move_sets[0].labels):
             message = "majority winners would fall outside the outcome space"
         if message:
             yield GameProblem(message, ValueError, "type-mismatch", game)
@@ -425,11 +426,9 @@ class Game:
             raise InvalidProfileError(
                 f"profile {profile!r} has {len(profile)} moves for {self.n} players"
             )
-        for x, p in zip(profile, self.players):
-            if x not in p.moves:
-                raise InvalidProfileError(
-                    f"{x!r} is not a move of player {p.name}"
-                )
+        if not self._profiles._contains_all((profile,)):
+            x, name = next((x, p.name) for x, p in zip(profile, self.players) if x not in p.moves)
+            raise InvalidProfileError(f"{x!r} is not a move of player {name}")
         return profile
 
     def outcome(self, profile):

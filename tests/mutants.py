@@ -331,6 +331,96 @@ MUTANTS = (
         "if not any(map(eq, listed, self.profiles())):",
         TABLE_TESTS,
     ),
+    # each caller asks its space about a whole sequence, and walks it only
+    # to name the first value outside
+    Mutant(
+        "context-accepted-without-the-bulk-rule", CORE,
+        "        if not self.codomain._contains_all(t):\n",
+        "        if False:\n",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "context-walk-names-the-last-fault", CORE,
+        "v = next(v for v in t if v not in self.codomain)",
+        "v = next(v for v in t[::-1] if v not in self.codomain)",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "order-extras-always-empty", CORE,
+        "extra = [] if codomain._contains_all(ranking) else "
+        "[v for v in ranking if v not in codomain]",
+        "extra = []",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "order-walk-names-the-last-fault", CORE,
+        "[v for v in ranking if v not in codomain]",
+        "[v for v in ranking[::-1] if v not in codomain]",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "table-row-moves-unchecked", CORE,
+        "            if not domain._contains_all(moves):\n",
+        "            if False:\n",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "table-row-walk-names-the-last-fault", CORE,
+        "m = next(m for m in moves if m not in domain)",
+        "m = next(m for m in moves[::-1] if m not in domain)",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "majority-winner-check-dropped", ENGINE,
+        "        elif not outcomes._contains_all(move_sets[0].labels):\n",
+        "        elif False:\n",
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "profile-check-accepts-any-of-the-right-length", ENGINE,
+        "        if not self._profiles._contains_all((profile,)):\n",
+        "        if False:\n",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "profile-walk-names-the-last-fault", ENGINE,
+        "for x, p in zip(profile, self.players) if x not in p.moves)",
+        "for x, p in list(zip(profile, self.players))[::-1] if x not in p.moves)",
+        ENGINE_TESTS,
+    ),
+    # one body per mirrored goal pair: the subclasses pick the comparison
+    Mutant(
+        "fix-compares-by-ne", CORE,
+        "class Fix(_Fixpoints):\n"
+        '    """Moves the context maps to themselves; every move if none do."""\n\n'
+        "    _op = eq\n",
+        "class Fix(_Fixpoints):\n"
+        '    """Moves the context maps to themselves; every move if none do."""\n\n'
+        "    _op = ne\n",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "nonfix-proj-compares-by-eq", CORE,
+        "class NonFixProj(_Projections):\n"
+        '    """Moves disagreeing with coordinate `coord` of the outcome; contrarians."""\n\n'
+        "    _op = ne\n",
+        "class NonFixProj(_Projections):\n"
+        '    """Moves disagreeing with coordinate `coord` of the outcome; contrarians."""\n\n'
+        "    _op = eq\n",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "fixpoints-without-fallback", CORE,
+        "return _with_fallback(p, _where(p, self._op, p.table, p.domain.labels))",
+        "return _where(p, self._op, p.table, p.domain.labels)",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "projections-without-fallback", CORE,
+        "return _with_fallback(p, _where(p, self._op, picks, p.domain.labels))",
+        "return _where(p, self._op, picks, p.domain.labels)",
+        CORE_TESTS,
+    ),
 )
 
 

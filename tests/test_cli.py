@@ -524,3 +524,44 @@ def test_console_script_is_wired_up(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == KEYNES_TABLE
+
+
+def _readme_commands() -> list:
+    """Each `$ hog ...` line of README.md's sh blocks: its arguments and the
+    lines the README shows after it, up to the next command or the block's end."""
+    commands, shown, in_sh = [], None, False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh, shown = line == "```sh", None
+        elif in_sh and line.startswith("$ hog "):
+            shown = []
+            commands.append((line[len("$ hog "):].split(), shown))
+        elif shown is not None:
+            shown.append(line)
+    return commands
+
+
+def _as_shown(lines: list, shown: list) -> list:
+    """`lines` as the README shows them: a shown line ending in `...` is a
+    prefix of its line, and a lone `...` stands for the rest."""
+    result = []
+    for k, line in enumerate(lines):
+        want = shown[k] if k < len(shown) else ""
+        if want == "...":
+            return result + [want]
+        if want.endswith("...") and line.startswith(want[:-3]):
+            line = want
+        result.append(line)
+    return result
+
+
+_README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize(
+    "argv, shown", _README_COMMANDS, ids=[" ".join(argv) for argv, _ in _README_COMMANDS]
+)
+def test_readme_shows_what_hog_prints(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _as_shown(out.splitlines(), shown) == shown

@@ -725,6 +725,14 @@ def test_check_shape_rejects_incompatible_pairs():
         check_shape(ArgmaxOrder(PreferenceOrder(("A",))), AB, ATOMS_AB)
     with pytest.raises(TypeMismatchError):
         check_shape(ArgmaxOrder(PreferenceOrder(("A", "B", "C"))), AB, ATOMS_AB)
+    # two values outside the space: they count against coverage, and the
+    # message names the first
+    assert _raised(
+        lambda: check_shape(ArgmaxOrder(PreferenceOrder(("D", "C"))), AB, ATOMS_AB)
+    ) == (IncompleteOrderError, "order leaves 2 outcome(s) unranked, e.g. 'A'")
+    assert _raised(
+        lambda: check_shape(ArgmaxOrder(PreferenceOrder(("A", "D", "B", "C"))), AB, ATOMS_AB)
+    ) == (TypeMismatchError, "order ranks values outside the outcome space, e.g. 'D'")
     with pytest.raises(TypeMismatchError):
         check_shape(Lex(Fix(), Coord()), AB, ATOMS_AB)
     row = next(enumerate_contexts(AB, ATOMS_AB))
@@ -732,6 +740,8 @@ def test_check_shape_rejects_incompatible_pairs():
         check_shape(TableSelection(((row, ("A",)),)), AB, ATOMS_ABC)
     with pytest.raises(TypeMismatchError, match="picks unknown move 'C'"):
         check_shape(TableSelection(((row, ("C",)),)), AB, ATOMS_AB)
+    with pytest.raises(TypeMismatchError, match=r"^table selection picks unknown move 'D'$"):
+        check_shape(TableSelection(((row, ("A", "D", "C")),)), AB, ATOMS_AB)
     with pytest.raises(TypeError, match="not a selection function or quantifier"):
         check_shape(lambda p: p.domain.labels, AB, ATOMS_AB)
 

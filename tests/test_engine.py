@@ -59,6 +59,7 @@ from hog import (
     outcome_table,
     payoff_matrix,
     payoff_matrix_names,
+    tabulate,
     unilateral_context,
 )
 from oracles import (
@@ -75,6 +76,7 @@ from oracles import (
     nonfixproj_sel,
     target_sel,
 )
+from test_tables import _counted
 
 AB = MoveSet(("A", "B"))
 
@@ -919,6 +921,24 @@ def test_hand_built_contexts_are_still_validated():
         GameContext(AB, AtomOutcomes(("A", "B")), ("A", "C"))
     with pytest.raises(ValueError, match="outside the outcome space"):
         GameContext(AB, VectorOutcomes(1, (0, 1)), ((0,), (2,)))
+    # two values outside: the message names the first
+    with pytest.raises(ValueError, match=r"^context value 'D' lies outside the outcome space$"):
+        GameContext(AB, AtomOutcomes(("A", "B")), ("D", "C"))
+
+
+def test_valid_inputs_ask_membership_once_per_sequence(monkeypatch):
+    # each space is asked about a whole ranking, table row, set of winners,
+    # context or profile at once, by `_contains_all`; `in` walks only a fault
+    calls = {}
+    for cls in (AtomOutcomes, MoveSet):
+        _counted(monkeypatch, cls, "__contains__", calls)
+    atoms = AtomOutcomes(("A", "B"))
+    goals = (ArgmaxOrder(PreferenceOrder(("B", "A"))), tabulate(Fix(), AB, atoms), NonFix())
+    voters = tuple(Player(f"V{i}", AB, goals[i % 3]) for i in range(25))
+    game = Game("vote25", voters, atoms, majority_rule())
+    GameContext(AB, atoms, ("B", "A"))
+    r = evaluate_profile(game, ("A", "B") * 12 + ("A",))
+    assert r.outcome == "A" and calls == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1086,6 +1106,11 @@ MALFORMED_PARTS = {
     "evaluate-unhashable-label": (
         lambda: evaluate_profile(KEYNES, (["A"], "A", "B")),
         InvalidProfileError, "['A'] is not a move of player J1",
+    ),
+    # two non-moves: the message names the first
+    "evaluate-two-non-moves": (
+        lambda: evaluate_profile(KEYNES, ("A", "C", "D")),
+        InvalidProfileError, "'C' is not a move of player J2",
     ),
     # its profiles are a `ProductOutcomes`, which needs a coordinate
     "matrix-no-players": (
