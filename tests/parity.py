@@ -12,10 +12,11 @@ each case's [exit code, stdout, stderr] must equal its manifest, keys included.
 - `parity_analyze.json`: `analyze` in each format on the builtins and the
   rendered matrices, budget exits (3) included.
 - `parity_parse.json`: `solve` on outcome-table documents: a 1 000-entry atom
-  table shaped like the benchmark's `heavy` file, a rendered 3 x 4 matrix, the
-  rendered builtins that use a table, and the matrix broken once in each way a
-  table entry can go wrong.  Its hashes date from the parser that read table
-  entries token by token.
+  table shaped like the benchmark's `heavy` file, a 1 000-entry payoff table,
+  a rendered 3 x 4 matrix, the rendered builtins that use a table, the matrix
+  and the atom table broken or bent once in each way a table body can go
+  wrong, and the lexer cases of `test_dsl.py` (`LEXER_EDITS`).  Its hashes
+  date from the parser that read table entries token by token.
 - `parity_cli.json`: `solve --profile` on every profile of every builtin in
   each format, the bad-input exits (2), a budget exit (3), argparse errors and
   `hog list`.
@@ -138,16 +139,93 @@ _EDITS = {
     "moves-line-fragment": ("moves P1 = { m0, m1, m2, m3 }", "moves P1 = { m0, m1, m2, m3 } (m0) -> m1"),
     "moves-is-fragment": ("moves P3 = { m0, m1, m2, m3 }", "moves P3 = (m0, m1) -> (m2, m3)"),
     "top-level-fragment": ("outcome_fn = table {", "(m0, m1) -> (1, 2)\noutcome_fn = table {"),
+    "trailing-semicolon": ("\n}", " ;\n}"),
+    "comment-between-entries": (" ;\n  (m1, m0, m0)", " ;\n  # the second block\n  (m1, m0, m0)"),
+    "profile-over-two-lines": ("(m1, m1, m2)", "(m1, m1,\n   m2)"),
+    "bad-entry-mid-table": ("(m1, m2, m0)", "(m1, m2 m0)"),
+    "zero-denominator-mid-table": ("(m2, m1, m3) -> (5/2, -2, 0)", "(m2, m1, m3) -> (5/2, -2/00, 0)"),
 }
+
+#: name -> (text to find in the `heavy` atom table, its replacement)
+_HEAVY_EDITS = {
+    "missing-comma-mid-table": ("(mv5, mv0, mv0)", "(mv5, mv0 mv0)"),
+    "stray-character-mid-table": ("(mv5, mv5, mv5) -> ", "(mv5, mv5, mv5) -> $"),
+    "unknown-value-mid-table": ("(mv5, mv5, mv6) -> ", "(mv5, mv5, mv6) -> Q ;\n  (mv5, mv5, mv6) -> "),
+}
+
+#: The two-player table game the lexer cases bend.
+TABLE_GAME = """\
+game g
+moves P1 = { A, B }
+moves P2 = { A, B }
+outcomes = moves
+outcome_fn = table {
+  (A, A) -> (A, A) ;
+  (A, B) -> (A, B) ;
+  (B, A) -> (B, A) ;
+  (B, B) -> (B, B)
+}
+player P1 = coord
+player P2 = coord
+"""
+
+#: name -> (text to find in TABLE_GAME, its replacement); `lexer_text` makes
+#: each document, and `test_dsl.py` states the diagnostics of each.
+LEXER_EDITS = {
+    # at top level the rest of the line is skipped, brackets included; the
+    # next line parses
+    "at-mid-line": ("game g\n", "game g @ ) {\n"),
+    # inside brackets only the character is skipped; the entry still closes
+    "dollar-in-entry": ("(A, B) -> (A, B) ;", "(A, B) -> (A, $B) ;"),
+    # a run of bad characters is one error; a second run is its own
+    "runs-in-entry": ("(A, B) -> (A, B) ;", "(A, B) -> ($$A, B~~) ;"),
+    "stray-paren": ("player P1 = coord\n", "player P1 = coord )\n"),
+    "stray-brace": ("outcomes = moves\n", "outcomes = } moves\n"),
+    # the innermost of the open '{' and '(' is the one reported
+    "unclosed-across-lines": ("(B, B) -> (B, B)\n}\n", "(B, B) -> (B,\n"),
+    "unclosed-brace": ("moves P2 = { A, B }\n", "moves P2 = { A,\n"),
+    # and every line end becomes CRLF
+    "crlf": ("moves P2 = { A, B }", "moves P2 = { A, A }"),
+    "comment-in-table": ("(A, A) -> (A, A) ;", "(A, A) -> (A, A) ;  # both say A"),
+    # a tab is one column
+    "tab": ("moves P1 = { A, B }", "moves P1 =\t{ A,\tA }"),
+}
+
+
+def lexer_text(name: str) -> str:
+    """The document of lexer case `name`."""
+    old, new = LEXER_EDITS[name]
+    assert TABLE_GAME.count(old) == 1, name
+    text = TABLE_GAME.replace(old, new)
+    return text.replace("\n", "\r\n") if name == "crlf" else text
+
+
+def _emptied(text: str) -> str:
+    """`text` with its outcome table's body taken out: `table { }`."""
+    start, end = text.index("table {") + len("table {"), text.index("\n}") + 2
+    return text[:start] + " }" + text[end:]
 
 
 def _table_documents() -> dict:
     """Each outcome-table document's name and .hog text."""
     matrix = _matrix_text("matrix-3x4", 18019, "-2 -3/4 0 1/3 5/2", "m0 m1 m2 m3", 3)
-    texts = {"heavy": _heavy_text(), "matrix": matrix}
+    heavy = _heavy_text()
+    texts = {"heavy": heavy, "matrix": matrix}
     for name, (old, new) in _EDITS.items():
         assert matrix.count(old) == 1, name
         texts[f"matrix-{name}"] = matrix.replace(old, new)
+    for name, (old, new) in _HEAVY_EDITS.items():
+        assert heavy.count(old) == 1, name
+        texts[f"heavy-{name}"] = heavy.replace(old, new)
+    texts["heavy-crlf-trailing-semicolon"] = heavy.replace("\n}", " ;\n}").replace("\n", "\r\n")
+    texts["matrix-crlf-and-tabs"] = (
+        matrix.replace("  (", "\t(").replace(", ", ",\t").replace("\n", "\r\n")
+    )
+    texts["matrix-empty-table"] = _emptied(matrix)
+    texts["lexer-empty-table"] = _emptied(TABLE_GAME)
+    moves = " ".join(f"m{k}" for k in range(10))
+    texts["vectors-1000"] = _matrix_text("vectors-1000", 18020, "-7/3 -1 0 1/2 3/4 2", moves, 3)
+    texts |= {f"lexer-{name}": lexer_text(name) for name in LEXER_EDITS}
     for name in builtin_names():
         text = render_game(builtin(name)).text
         if "outcome_fn = table" in text:

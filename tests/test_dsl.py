@@ -46,6 +46,7 @@ from hog import (
 from hog import dsl
 from hog.cli import main
 from hog.dsl import MAX_SELECTION_DEPTH
+from parity import LEXER_EDITS, lexer_text
 from test_engine import _majority_games
 
 KEYNES_TEXT = """\
@@ -324,96 +325,46 @@ def test_a_broken_statement_still_counts_as_declared():
     assert errors(parse_game(broken)) == [("syntax", 3, "expected ',' or '}'")]
 
 
-TABLE_GAME = """\
-game g
-moves P1 = { A, B }
-moves P2 = { A, B }
-outcomes = moves
-outcome_fn = table {
-  (A, A) -> (A, A) ;
-  (A, B) -> (A, B) ;
-  (B, A) -> (B, A) ;
-  (B, B) -> (B, B)
-}
-player P1 = coord
-player P2 = coord
-"""
-
+#: lexer case -> its diagnostics; `parity.lexer_text` writes each document
 LEXER_CASES = {
-    # at top level the rest of the line is skipped, brackets included; the
-    # next line parses
-    "at-mid-line": (
-        ("game g\n", "game g @ ) {\n"),
-        [("1:8: error: unexpected character '@'", "syntax")],
-    ),
-    # inside brackets only the character is skipped; the entry still closes
-    "dollar-in-entry": (
-        ("(A, B) -> (A, B) ;", "(A, B) -> (A, $B) ;"),
-        [("7:17: error: unexpected character '$'", "syntax")],
-    ),
-    # a run of bad characters is one error; a second run is its own
-    "runs-in-entry": (
-        ("(A, B) -> (A, B) ;", "(A, B) -> ($$A, B~~) ;"),
-        [
-            ("7:14: error: unexpected character '$'", "syntax"),
-            ("7:20: error: unexpected character '~'", "syntax"),
-        ],
-    ),
-    "stray-paren": (
-        ("player P1 = coord\n", "player P1 = coord )\n"),
-        [
-            ("11:19: error: unmatched ')'", "syntax"),
-            ("11:19: error: unexpected ')' after the end of the statement", "syntax"),
-        ],
-    ),
-    "stray-brace": (
-        ("outcomes = moves\n", "outcomes = } moves\n"),
-        [
-            ("4:12: error: unmatched '}'", "syntax"),
-            ("4:12: error: expected 'moves', 'vectors <n>', or '{ ... }'", "syntax"),
-        ],
-    ),
-    # the innermost of the open '{' and '(' is the one reported
-    "unclosed-across-lines": (
-        ("(B, B) -> (B, B)\n}\n", "(B, B) -> (B,\n"),
-        [
-            ("2:1: error: no player declaration for P1", "missing"),
-            ("3:1: error: no player declaration for P2", "missing"),
-            ("9:13: error: unclosed '('", "syntax"),
-            ("10:8: error: expected ',' or ')'", "syntax"),
-        ],
-    ),
-    "unclosed-brace": (
-        ("moves P2 = { A, B }\n", "moves P2 = { A,\n"),
-        [
-            ("1:1: error: missing outcomes declaration", "missing"),
-            ("1:1: error: missing outcome_fn declaration", "missing"),
-            ("2:1: error: no player declaration for P1", "missing"),
-            ("3:12: error: unclosed '{'", "syntax"),
-            ("4:10: error: expected ',' or '}'", "syntax"),
-        ],
-    ),
-    "crlf": (
-        ("moves P2 = { A, B }", "moves P2 = { A, A }"),
-        [("3:17: error: duplicate move label 'A'", "duplicate")],
-    ),
-    "comment-in-table": (("(A, A) -> (A, A) ;", "(A, A) -> (A, A) ;  # both say A"), []),
-    # a tab is one column
-    "tab": (
-        ("moves P1 = { A, B }", "moves P1 =\t{ A,\tA }"),
-        [("2:17: error: duplicate move label 'A'", "duplicate")],
-    ),
+    "at-mid-line": [("1:8: error: unexpected character '@'", "syntax")],
+    "dollar-in-entry": [("7:17: error: unexpected character '$'", "syntax")],
+    "runs-in-entry": [
+        ("7:14: error: unexpected character '$'", "syntax"),
+        ("7:20: error: unexpected character '~'", "syntax"),
+    ],
+    "stray-paren": [
+        ("11:19: error: unmatched ')'", "syntax"),
+        ("11:19: error: unexpected ')' after the end of the statement", "syntax"),
+    ],
+    "stray-brace": [
+        ("4:12: error: unmatched '}'", "syntax"),
+        ("4:12: error: expected 'moves', 'vectors <n>', or '{ ... }'", "syntax"),
+    ],
+    "unclosed-across-lines": [
+        ("2:1: error: no player declaration for P1", "missing"),
+        ("3:1: error: no player declaration for P2", "missing"),
+        ("9:13: error: unclosed '('", "syntax"),
+        ("10:8: error: expected ',' or ')'", "syntax"),
+    ],
+    "unclosed-brace": [
+        ("1:1: error: missing outcomes declaration", "missing"),
+        ("1:1: error: missing outcome_fn declaration", "missing"),
+        ("2:1: error: no player declaration for P1", "missing"),
+        ("3:12: error: unclosed '{'", "syntax"),
+        ("4:10: error: expected ',' or '}'", "syntax"),
+    ],
+    "crlf": [("3:17: error: duplicate move label 'A'", "duplicate")],
+    "comment-in-table": [],
+    "tab": [("2:17: error: duplicate move label 'A'", "duplicate")],
 }
 
 
 @pytest.mark.parametrize("case", LEXER_CASES)
 def test_lexer_diagnostics_are_located(case):
-    (old, new), expected = LEXER_CASES[case]
-    assert old in TABLE_GAME
-    text = TABLE_GAME.replace(old, new)
-    if case == "crlf":
-        text = text.replace("\n", "\r\n")
-    result = parse_game(text)
+    assert LEXER_CASES.keys() == LEXER_EDITS.keys()
+    expected = LEXER_CASES[case]
+    result = parse_game(lexer_text(case))
     assert [(str(d), d.code) for d in result.diagnostics] == expected
     assert result.ok == (not expected)
 

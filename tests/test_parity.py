@@ -64,7 +64,10 @@ def test_the_table_documents_solve_and_fail_as_intended(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     codes = {name: run(*case)[0] for name, case in parse_cases().items()}
     fine = {"heavy", "matrix", "matrix-trailing-comment", "matrix-entry-over-two-lines",
-            "matrix-comment-after-entry", "matrix-comment-inside-entry"}
+            "matrix-comment-after-entry", "matrix-comment-inside-entry",
+            "matrix-trailing-semicolon", "matrix-comment-between-entries",
+            "matrix-profile-over-two-lines", "matrix-crlf-and-tabs",
+            "heavy-crlf-trailing-semicolon", "vectors-1000", "lexer-comment-in-table"}
     fine |= {name for name in codes if name.startswith("builtin-")}
     assert {name for name, code in codes.items() if code == 0} == fine
     assert all(code == 2 for name, code in codes.items() if name not in fine)
