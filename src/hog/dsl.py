@@ -7,10 +7,14 @@ per declared move set.  Newlines are soft inside braces and parentheses,
 so outcome tables can span lines.  The text is read into statements in
 one pass.  A well-formed table entry on one line is read as one token;
 the table reader takes it whole, and any other read splits it into its
-plain tokens, so no diagnostic depends on it.  `parse_game` never returns
-a partially valid game: either every check passes or you get located
-diagnostics.  A statement stops at its first syntax error but still
-counts as declared, so it adds no follow-on "missing" errors.
+plain tokens.  A table body with no comment and no brace inside is one
+token too, and the table reader takes its entries with string splits when
+each is a well-formed one-line entry.  Only the token walk diagnoses: a
+document that fails is read again with no body token, so no diagnostic
+depends on them.  `parse_game` never returns a partially valid game:
+either every check passes or you get located diagnostics.  A statement
+stops at its first syntax error but still counts as declared, so it adds
+no follow-on "missing" errors.
 """
 
 from __future__ import annotations
@@ -109,10 +113,18 @@ _ENTRY = (
     rf"(?:{_IDENT}|{_LABELS}|\({_S}{_RATIONAL}(?:{_S},{_S}{_RATIONAL})*{_S}\))"
 )
 
+# A table body that may be read in one pass: a `{` whose first non-blank
+# character is `(`, then no brace and no comment up to the `}`.  One
+# character-class repeat keeps no backtracking state per entry.
+_TABLE = r"(?P<TABLE>\{[ \t\r\n]*\([^{}#]*\})"
+_BLANKS = r"[ \t\r\n]*"
+_NO_BLANKS = str.maketrans("", "", " \t\r\n")
+
 # Patterns are compiled on first use through `re`'s cache, so importing the
 # module compiles none of them.
 _PLAIN_RE = "|".join(_PLAIN)
 _TOKEN_RE = "|".join((f"(?P<ENTRY>{_ENTRY})",) + _PLAIN)
+_BULK_RE = "|".join((_TABLE, _TOKEN_RE))
 
 
 class _Token(NamedTuple):
@@ -129,21 +141,23 @@ _BRACKETS = {"{": "}", "(": ")"}
 MAX_SELECTION_DEPTH = 100
 
 
-def _statements(text: str, diags: list) -> list[list[_Token]]:
+def _statements(text: str, diags: list, pattern: str = _TOKEN_RE) -> list[list[_Token]]:
     """The token lists of the statements in `text`, read in one pass.
 
     Whitespace and comments make no token.  A well-formed table entry on one
     line is one ENTRY token; it holds no newline and its brackets balance,
-    so it counts as its plain tokens would.  A newline ends a statement only
-    outside brackets.  A run of unexpected characters is reported once;
-    inside brackets only the run is skipped, at top level the rest of its line.
+    so it counts as its plain tokens would.  With `_BULK_RE`, a table body
+    candidate is one TABLE token, its newlines counted past.  A newline ends
+    a statement only outside brackets.  A run of unexpected characters is
+    reported once; inside brackets only the run is skipped, at top level the
+    rest of its line.
     """
     stmts: list[list[_Token]] = []
     current: list[_Token] = []
     stack: list[_Token] = []
     line, line_start = 1, 0
     skipping, bad_end = False, -1
-    for m in re.finditer(_TOKEN_RE, text):
+    for m in re.finditer(pattern, text):
         kind = m.lastgroup
         if kind is None:
             continue
@@ -163,7 +177,12 @@ def _statements(text: str, diags: list) -> list[list[_Token]]:
                 _err(diags, tok, f"unexpected character {tok.text!r}", "syntax")
             skipping, bad_end = not stack, m.end()
             continue
-        if kind == "PUNCT" and tok.text in "{(":
+        if kind == "TABLE":
+            newlines = tok.text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", 0, m.end()) + 1
+        elif kind == "PUNCT" and tok.text in "{(":
             stack.append(tok)
         elif kind == "PUNCT" and tok.text in "})":
             if stack and _BRACKETS[stack[-1].text] == tok.text:
@@ -193,7 +212,8 @@ def _plain_tokens(entry: _Token) -> list[_Token]:
 
 class _Cursor:
     """Reads one statement's tokens.  Only `entry` sees an ENTRY token whole;
-    every other read first splits it into its plain tokens, in place."""
+    every other read first splits it into its plain tokens, in place.  A
+    TABLE token is never split: only `_table` can read it."""
 
     def __init__(self, tokens: list[_Token], diags: list, numbers: Callable[[str], Fraction]):
         self.tokens = tokens
@@ -435,25 +455,39 @@ def _table_entry(cur: _Cursor):
     return profile, _table_value(cur), head
 
 
-def _entry(tok: _Token, numbers: Callable[[str], Fraction]):
-    """An ENTRY token as (profile, value, head), the token itself the head."""
-    profile, value = tok.text.split("->")
-    profile = tuple(map(str.strip, profile.rstrip()[1:-1].split(",")))
-    value = value.strip()
+def _entry(text: str, numbers: Callable[[str], Fraction], head: _Token):
+    """A well-formed one-line entry with its blanks taken out, as
+    (profile, value, head)."""
+    profile, value = text.split("->")
+    profile = tuple(profile[1:-1].split(","))
     if value[0] == "(":
-        value = tuple(map(str.strip, value[1:-1].split(",")))
+        value = tuple(value[1:-1].split(","))
         if value[0][0] in "-0123456789":
             value = tuple(map(numbers, value))
-    return profile, value, tok
+    return profile, value, head
 
 
 def _table(cur: _Cursor):
     """`{ entry ; ... }` as (entries, closing token).
 
-    An ENTRY token is read whole; any other entry token by token.  A bad
-    entry is reported and skipped up to the next ';' or '}', so later
-    entries still get checked.
+    A TABLE token is read in one pass when each of its `;`-separated pieces
+    is one well-formed one-line entry with blanks or newlines around it (a
+    trailing `;` allowed): its blanks are taken out and each piece is split
+    into its entry, with the TABLE token as head and closing token.  Any
+    other TABLE token is an error, so the document is walked again without
+    them.  Else an ENTRY token is read whole, and any other entry token by
+    token.  A bad entry is reported and skipped up to the next ';' or '}', so
+    later entries still get checked.
     """
+    body = cur.take("TABLE")
+    if body is not None:
+        pieces = body.text[1:-1].split(";")
+        if not pieces[-1].strip():  # a trailing ';'
+            pieces.pop()
+        if not all(map(re.compile(_BLANKS + _ENTRY + _BLANKS).fullmatch, pieces)):
+            cur.fail("table body left to the token walk")  # never shown
+        pieces = ";".join(pieces).translate(_NO_BLANKS).split(";")
+        return [_entry(piece, cur.numbers, body) for piece in pieces], body
     cur.expect("'{'", "PUNCT", "{")
     entries = []
     while True:
@@ -461,7 +495,10 @@ def _table(cur: _Cursor):
         if tok is None and cur.at("PUNCT", "}"):
             break
         try:
-            entries.append(_entry(tok, cur.numbers) if tok else _table_entry(cur))
+            if tok:  # one `translate` per token costs more than split and join
+                entries.append(_entry("".join(tok.text.split()), cur.numbers, tok))
+            else:
+                entries.append(_table_entry(cur))
         except _Stop:
             depth = 0
             while True:
@@ -567,10 +604,18 @@ def parse_game(src) -> ParseResult:
     Never raises on bad input: every problem is a located diagnostic.
     """
     text = src.text if isinstance(src, GameSource) else src
+    result = _parse(text, _BULK_RE)
+    # only the token walk diagnoses: a document that fails is read again
+    # without TABLE tokens, so each diagnostic, its location and order are the walk's
+    return result if result.ok else _parse(text, _TOKEN_RE)
+
+
+def _parse(text: str, pattern: str) -> ParseResult:
+    """`parse_game` with the statements lexed by `pattern`."""
     diags: list[ParseDiagnostic] = []
     decl: dict = {}
     numbers = functools.cache(Fraction)  # number spelling -> its Fraction, once per parse
-    for tokens in _statements(text, diags):
+    for tokens in _statements(text, diags, pattern):
         try:
             _statement(_Cursor(tokens, diags, numbers), decl)
         except _Stop:

@@ -441,6 +441,11 @@ def unilateral_context(game: Game, profile, i: int) -> GameContext:
     s = game.check_profile(profile)
     if not 1 <= i <= game.n:
         raise PlayerOutOfRangeError(f"player index {i} out of range 1..{game.n}")
+    return _context(game, s, i)
+
+
+def _context(game: Game, s: tuple, i: int) -> GameContext:
+    """`unilateral_context` at a profile tuple `check_profile` returned."""
     moves = game.players[i - 1].moves
     values = tuple(
         game.outcome_fn(s[: i - 1] + (x,) + s[i:]) for x in moves
@@ -522,13 +527,15 @@ class _Verdicts(dict):
 def evaluate_profile(game: Game, profile) -> ProfileResult:
     """Judge one profile by walking the n deviation lines through it.
 
-    Calls the outcome function once per move of each player, plus once
-    for the profile itself, and never tabulates the whole game.
+    Checks the profile once and builds each player's context from the
+    checked tuple.  Calls the outcome function once per move of each
+    player, plus once for the profile itself, and never tabulates the
+    whole game.
     """
     s = game.check_profile(profile)
     flags = []
     for i, p in enumerate(game.players, start=1):
-        ctx = unilateral_context(game, s, i)
+        ctx = _context(game, s, i)
         flags.append(_defections(p.selection, ctx, ctx.table)[p.moves.index(s[i - 1])])
     verdicts = _Verdicts(tuple(p.name for p in game.players))
     return ProfileResult(s, game.outcome_fn(s), *verdicts[tuple(flags)])

@@ -38,7 +38,9 @@ class Mutant(NamedTuple):
 
 ENGINE = "src/hog/engine.py"
 CORE = "src/hog/core.py"
+DSL = "src/hog/dsl.py"
 ENGINE_TESTS = ("tests/test_engine.py",)
+DSL_TESTS = ("tests/test_dsl.py",)
 TABLE_TESTS = ("tests/test_tables.py",)
 CORE_TESTS = ("tests/test_core.py",)
 
@@ -420,6 +422,39 @@ MUTANTS = (
         "return _with_fallback(p, _where(p, self._op, picks, p.domain.labels))",
         "return _where(p, self._op, picks, p.domain.labels)",
         CORE_TESTS,
+    ),
+    # table bodies read in bulk, walked token by token only to diagnose
+    Mutant(
+        "bulk-body-accepted-unchecked", DSL,
+        "        if not all(map(re.compile(_BLANKS + _ENTRY + _BLANKS).fullmatch, pieces)):\n",
+        "        if False:\n",
+        DSL_TESTS,
+    ),
+    Mutant(
+        "bulk-body-lines-uncounted", DSL,
+        "                line += newlines\n",
+        "                line += 0\n",
+        DSL_TESTS,
+    ),
+    Mutant(
+        # the blank piece after it then fails its check: the body is walked
+        "bulk-trailing-semicolon-kept-as-a-piece", DSL,
+        "            pieces.pop()\n",
+        "            pass\n",
+        DSL_TESTS,
+    ),
+    Mutant(
+        "bulk-failure-not-walked-again", DSL,
+        "    return result if result.ok else _parse(text, _TOKEN_RE)\n",
+        "    return result\n",
+        DSL_TESTS,
+    ),
+    # one profile check per evaluate_profile
+    Mutant(
+        "evaluate-profile-contexts-from-the-unchecked-profile", ENGINE,
+        "        ctx = _context(game, s, i)\n",
+        "        ctx = _context(game, profile, i)\n",
+        ENGINE_TESTS,
     ),
 )
 

@@ -1,7 +1,9 @@
 """Parsing, validation diagnostics, and rendering of the text format."""
 
+import gc
 import re
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -46,6 +48,7 @@ from hog import (
 from hog import dsl
 from hog.cli import main
 from hog.dsl import MAX_SELECTION_DEPTH
+import parity
 from parity import LEXER_EDITS, lexer_text
 from test_engine import _majority_games
 
@@ -983,7 +986,7 @@ def _table_documents(draw):
 @given(text=_table_documents())
 def test_one_token_entries_parse_as_their_plain_tokens_do(text):
     result = parse_game(text)
-    with mock.patch.object(dsl, "_TOKEN_RE", dsl._PLAIN_RE):
+    with mock.patch.multiple(dsl, _BULK_RE=dsl._PLAIN_RE, _TOKEN_RE=dsl._PLAIN_RE):
         plain = parse_game(text)
     assert result.diagnostics == plain.diagnostics
     assert result.game == plain.game
@@ -1002,3 +1005,183 @@ def test_one_line_entries_are_read_as_one_token_and_the_rest_token_by_token():
         "(a) -> (1, b)", "(a) -> (b, 1)", "(a, 1) -> b", "(a) -> ()", "(a) -> $", "(a -> b",
     ]
     assert all(entries(text) == [] for text in token_by_token)
+
+
+# ---------------------------------------------------------------------------
+# whole table bodies read in bulk against the token walk
+# ---------------------------------------------------------------------------
+
+_BULK_LEADS = ["", " ", "\n  ", "\n\n\t"]
+_BULK_SEPARATORS = [";", " ;", " ;\n  ", ";\n", "\t;\t", "\n  ;\n  ", " ;\n\n  "]
+_BULK_ENDS = ["", " ", "\n", " ;", " ;\n", ";\n\n"]
+_BULK_GAPS = ["", " ", "\t", "  "]
+_BULK_CELLS = _ENTRY_CELLS + ["-7/3", "12/5", "-0"]
+#: bends that keep the document valid and its body one bulk read
+_CLEAN_BENDS = {"crlf", "outcomes-after", "unreachable"}
+_BENDS = [
+    "crlf", "outcomes-after", "unreachable", "comment", "split", "zero", "stray",
+    "empty-piece", "no-separator", "unknown-label", "drop", "duplicate", "mixed", "brace",
+    "empty-body",
+]
+
+
+@st.composite
+def _bulk_documents(draw):
+    """A two-player table game over {a, b, c}, its body written as one-line
+    entries between `;`s with blanks, newlines and tabs, and a trailing `;`
+    or not; then bent with a set chance in ways that keep the bulk read, that
+    leave the body to the token walk, or that make the document fail.
+    Returns the text and whether it must be read in one pass."""
+
+    def pick(choices):
+        return draw(st.sampled_from(choices))
+
+    bends = {b for b in _BENDS if draw(st.integers(0, 99)) < 8}
+    shape = pick(["atoms", "moves", "vectors"])
+    if shape != "atoms":
+        bends.discard("unreachable")
+    labels = "a, b, c, d" if "unreachable" in bends else "a, b, c"
+    outcomes = {"atoms": f"{{ {labels} }}", "moves": "moves", "vectors": "vectors 2"}[shape]
+    def gap():
+        return pick(_BULK_GAPS)
+
+    entries = []
+    for p1, p2 in product("abc", repeat=2):
+        if shape == "atoms":
+            value = pick("abc")
+        else:
+            cells = [pick("abc") for _ in "12"] if shape == "moves" else [
+                pick(_BULK_CELLS) for _ in "12"]
+            value = f"({gap()}{cells[0]}{gap()},{gap()}{cells[1]}{gap()})"
+        entries.append(f"({gap()}{p1}{gap()},{gap()}{p2}{gap()}){gap()}->{gap()}{value}")
+    k = draw(st.integers(0, len(entries) - 1))
+    if "unknown-label" in bends:
+        entries[k] = "(z, a) -> " + entries[k].split("->")[1].strip()
+    if "zero" in bends and shape == "vectors":
+        entries[k] = entries[k].split("->")[0] + "-> (1/0, 1)"
+    if "mixed" in bends and shape != "atoms":
+        entries[k] = entries[k].split("->")[0] + "-> (a, 1)"
+    if "split" in bends:
+        entries[k] = entries[k].replace("->", "->\n   ", 1)
+    if "stray" in bends:
+        entries[k] = entries[k].replace(")", " $)", 1)
+    if "duplicate" in bends:
+        entries.insert(k, entries[k])
+    if "drop" in bends:
+        del entries[k]
+    separators = [pick(_BULK_SEPARATORS) for _ in entries[1:]]
+    if separators:
+        j = draw(st.integers(0, len(separators) - 1))
+        if "comment" in bends:
+            separators[j] += " # note\n  "
+        if "empty-piece" in bends:
+            separators[j] += " ;"
+        if "no-separator" in bends:
+            separators[j] = " "
+        if "brace" in bends:
+            separators[j] += pick(["{", "}"])
+    body = pick(_BULK_LEADS) + "".join(
+        e + sep for e, sep in zip(entries, separators + [""])) + pick(_BULK_ENDS)
+    if "empty-body" in bends:
+        body = " "
+    goal = {"atoms": f"argmax(order: {labels.replace(', ', ' < ')})",
+            "moves": "coord", "vectors": "argmax(coord: 1)"}[shape]
+    lines = ["game g", "moves P1 = { a, b, c }", "moves P2 = { a, b, c }",
+             f"outcome_fn = table {{{body}}}", f"player P1 = {goal}",
+             f"player P2 = {goal.replace('coord: 1', 'coord: 2')}"]
+    lines.insert(4 if "outcomes-after" in bends else 3, f"outcomes = {outcomes}")
+    text = "\n".join(lines) + "\n"
+    if "crlf" in bends:
+        text = text.replace("\n", "\r\n")
+    return text, bends <= _CLEAN_BENDS
+
+
+def _read(text):
+    """parse_game(text), the number of `_parse` calls it made, and whether
+    every table entry it read had a TABLE token as its head."""
+    with mock.patch.object(dsl, "_parse", wraps=dsl._parse) as parse, \
+            mock.patch.object(dsl, "_entry", wraps=dsl._entry) as entry:
+        result = parse_game(text)
+    heads = [c.args[2].kind for c in entry.call_args_list]
+    return result, parse.call_count, bool(heads) and set(heads) == {"TABLE"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_bulk_documents())
+def test_table_bodies_read_in_bulk_parse_as_the_token_walk_does(drawn):
+    text, clean = drawn
+    result, passes, bulk = _read(text)
+    walk = dsl._parse(text, dsl._TOKEN_RE)
+    assert result.diagnostics == walk.diagnostics
+    assert result.game == walk.game
+    if clean:
+        assert result.ok and passes == 1 and bulk
+
+
+#: parity document -> is its table read in one pass, with no second parse?
+_BULK_PATHS = {
+    "heavy": True,
+    "heavy-crlf-trailing-semicolon": True,
+    "matrix": True,
+    "matrix-trailing-semicolon": True,
+    "matrix-crlf-and-tabs": True,
+    "vectors-1000": True,
+    "matrix-comment-between-entries": False,  # a comment: no TABLE token
+    "matrix-profile-over-two-lines": False,  # a piece that is no one-line entry
+    "matrix-empty-table": False,
+    "matrix-bad-entry-mid-table": False,
+    "matrix-zero-denominator-mid-table": False,
+    "heavy-stray-character-mid-table": False,
+    "heavy-unknown-value-mid-table": False,  # read in bulk, then walked to diagnose
+    "lexer-comment-in-table": False,
+}
+
+
+@pytest.mark.parametrize("name", _BULK_PATHS)
+def test_edge_bodies_take_their_path_and_parse_as_the_token_walk_does(name):
+    text = parity._table_documents()[name]
+    result, passes, bulk = _read(text)
+    walk = dsl._parse(text, dsl._TOKEN_RE)
+    assert (result.diagnostics, result.game) == (walk.diagnostics, walk.game)
+    assert (passes == 1 and bulk) == _BULK_PATHS[name]
+
+
+def test_lines_after_a_bulk_body_are_counted():
+    lines = ["game g", "moves P1 = { a, b }", "outcome_fn = table {",
+             "  (a) -> a ;\r", "  (b) -> a", "}", "outcomes = { a, b }", "player P1 = fix"]
+    text = "\n".join(lines) + "\n"
+    result, passes, bulk = _read(text)
+    assert passes == 1 and bulk
+    assert [str(d) for d in result.diagnostics] == [
+        "7:1: warning: outcome value(s) never produced by the outcome function: b"
+    ]
+
+
+def test_a_one_line_table_is_read_with_no_token_per_entry(monkeypatch):
+    text = parity._heavy_text().replace("\n}", " ;\n}")  # a trailing ';' too
+    made, walked = [], []
+    token, table_entry = dsl._Token, dsl._table_entry
+    monkeypatch.setattr(dsl, "_Token", lambda *a: made.append(a) or token(*a))
+    monkeypatch.setattr(dsl, "_table_entry", lambda cur: walked.append(cur) or table_entry(cur))
+    result = parse_game(text)
+    assert result.ok and len(result.game.outcome_fn.entries) == 1000
+    assert walked == [] and len(made) < 200
+
+
+def test_a_one_line_table_parses_in_no_more_memory_than_the_token_walk():
+    text = parity._heavy_text()
+
+    def peak(parse):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert parse(text).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def walk(t):
+        return dsl._parse(t, dsl._TOKEN_RE)
+
+    peak(parse_game), peak(walk)  # compile the patterns outside the measure
+    assert peak(parse_game) <= peak(walk)

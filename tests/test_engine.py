@@ -495,6 +495,18 @@ def test_sweep_calls_a_table_once_per_profile(outcome_calls):
     assert report.rows == enumerate_equilibria(game).rows
 
 
+def test_single_profile_is_checked_once(monkeypatch):
+    game = _counted_vote(25)
+    calls = []
+    check = Game.check_profile
+    monkeypatch.setattr(Game, "check_profile", lambda g, s: calls.append(s) or check(g, s))
+    row = evaluate_profile(game, ["A"] * 25)
+    assert len(calls) == 1
+    # the contexts come from the checked tuple, not from the argument
+    assert row == evaluate_profile(game, iter(("A",) * 25))
+    assert row.profile == ("A",) * 25
+
+
 def test_single_profile_walks_only_its_own_lines(outcome_calls):
     game = _counted_vote(25)
     row = evaluate_profile(game, ("A",) * 25)
