@@ -1036,15 +1036,16 @@ def _bulk_documents(draw):
     def pick(choices):
         return draw(st.sampled_from(choices))
 
-    bends = {b for b in _BENDS if draw(st.integers(0, 99)) < 8}
-    shape = pick(["atoms", "moves", "vectors"])
-    if shape != "atoms":
-        bends.discard("unreachable")
-    labels = "a, b, c, d" if "unreachable" in bends else "a, b, c"
-    outcomes = {"atoms": f"{{ {labels} }}", "moves": "moves", "vectors": "vectors 2"}[shape]
     def gap():
         return pick(_BULK_GAPS)
 
+    bends = {b for b in _BENDS if draw(st.integers(0, 99)) < 8}
+    shape = pick(["atoms", "moves", "vectors"])
+    # bends that need a shape
+    bends -= {"atoms": {"zero", "mixed"}, "moves": {"zero", "unreachable"},
+              "vectors": {"unreachable"}}[shape]
+    labels = "a, b, c, d" if "unreachable" in bends else "a, b, c"
+    outcomes = {"atoms": f"{{ {labels} }}", "moves": "moves", "vectors": "vectors 2"}[shape]
     entries = []
     for p1, p2 in product("abc", repeat=2):
         if shape == "atoms":
@@ -1057,9 +1058,9 @@ def _bulk_documents(draw):
     k = draw(st.integers(0, len(entries) - 1))
     if "unknown-label" in bends:
         entries[k] = "(z, a) -> " + entries[k].split("->")[1].strip()
-    if "zero" in bends and shape == "vectors":
+    if "zero" in bends:
         entries[k] = entries[k].split("->")[0] + "-> (1/0, 1)"
-    if "mixed" in bends and shape != "atoms":
+    if "mixed" in bends:
         entries[k] = entries[k].split("->")[0] + "-> (a, 1)"
     if "split" in bends:
         entries[k] = entries[k].replace("->", "->\n   ", 1)
