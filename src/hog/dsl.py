@@ -141,8 +141,8 @@ _BRACKETS = {"{": "}", "(": ")"}
 MAX_SELECTION_DEPTH = 100
 
 
-def _statements(text: str, diags: list, pattern: str = _TOKEN_RE) -> list[list[_Token]]:
-    """The token lists of the statements in `text`, read in one pass.
+def _statements(text: str, diags: list, pattern: str) -> list[list[_Token]]:
+    """The token lists of the statements in `text`, lexed by `pattern` in one pass.
 
     Whitespace and comments make no token.  A well-formed table entry on one
     line is one ENTRY token; it holds no newline and its brackets balance,
@@ -482,7 +482,7 @@ def _table(cur: _Cursor):
     body = cur.take("TABLE")
     if body is not None:
         pieces = body.text[1:-1].split(";")
-        if not pieces[-1].strip():  # a trailing ';'
+        if re.fullmatch(_BLANKS, pieces[-1]):  # a trailing ';'
             pieces.pop()
         if not all(map(re.compile(_BLANKS + _ENTRY + _BLANKS).fullmatch, pieces)):
             cur.fail("table body left to the token walk")  # never shown

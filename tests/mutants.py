@@ -444,6 +444,13 @@ MUTANTS = (
         DSL_TESTS,
     ),
     Mutant(
+        # a form feed or no-break space after the trailing ';' is dropped too
+        "bulk-trailing-piece-blank-by-str-strip", DSL,
+        "        if re.fullmatch(_BLANKS, pieces[-1]):  # a trailing ';'\n",
+        "        if not pieces[-1].strip():  # a trailing ';'\n",
+        DSL_TESTS,
+    ),
+    Mutant(
         "bulk-failure-not-walked-again", DSL,
         "    return result if result.ok else _parse(text, _TOKEN_RE)\n",
         "    return result\n",

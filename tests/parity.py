@@ -151,6 +151,9 @@ _HEAVY_EDITS = {
     "missing-comma-mid-table": ("(mv5, mv0, mv0)", "(mv5, mv0 mv0)"),
     "stray-character-mid-table": ("(mv5, mv5, mv5) -> ", "(mv5, mv5, mv5) -> $"),
     "unknown-value-mid-table": ("(mv5, mv5, mv6) -> ", "(mv5, mv5, mv6) -> Q ;\n  (mv5, mv5, mv6) -> "),
+    # blanks outside the grammar's space, tab, CR and LF, after a trailing ';'
+    "form-feed-after-a-trailing-semicolon": ("-> Z\n}", "-> Z ;\x0c\n}"),
+    "no-break-space-after-a-trailing-semicolon": ("-> Z\n}", "-> Z ;\xa0\n}"),
 }
 
 #: The two-player table game the lexer cases bend.
