@@ -144,6 +144,11 @@ _EDITS = {
     "profile-over-two-lines": ("(m1, m1, m2)", "(m1, m1,\n   m2)"),
     "bad-entry-mid-table": ("(m1, m2, m0)", "(m1, m2 m0)"),
     "zero-denominator-mid-table": ("(m2, m1, m3) -> (5/2, -2, 0)", "(m2, m1, m3) -> (5/2, -2/00, 0)"),
+    "comment-before-first-entry": ("table {\n", "table {\n  # P1 picks the block, P2 the row\n"),
+    "comment-with-punctuation": (
+        " ;\n  (m2, m0, m0)", " ;\n  # not an entry: (m2, m0, m0) -> (1, 2, 3) ; { } }\n  (m2, m0, m0)"
+    ),
+    "comment-before-the-closing-brace": ("\n}", "\n  # the last block ends here\n}"),
 }
 
 #: name -> (text to find in the `heavy` atom table, its replacement)
@@ -195,6 +200,17 @@ LEXER_EDITS = {
 }
 
 
+def _commented(text: str) -> str:
+    """`text` with a comment line after every 10th table entry."""
+    lines, entries = [], 0
+    for line in text.split("\n"):
+        lines.append(line)
+        entries += line.startswith("  (")
+        if line.startswith("  (") and entries % 10 == 0:
+            lines.append(f"  # {entries} entries; (a) -> b is not one")
+    return "\n".join(lines)
+
+
 def lexer_text(name: str) -> str:
     """The document of lexer case `name`."""
     old, new = LEXER_EDITS[name]
@@ -221,6 +237,11 @@ def _table_documents() -> dict:
         assert heavy.count(old) == 1, name
         texts[f"heavy-{name}"] = heavy.replace(old, new)
     texts["heavy-crlf-trailing-semicolon"] = heavy.replace("\n}", " ;\n}").replace("\n", "\r\n")
+    texts["heavy-comment-every-10th-entry"] = _commented(heavy)
+    texts["heavy-unclosed-with-comments"] = _commented(heavy).replace("\n}\n", "\n")
+    texts["matrix-crlf-comment-between-entries"] = (
+        texts["matrix-comment-between-entries"].replace("\n", "\r\n")
+    )
     texts["matrix-crlf-and-tabs"] = (
         matrix.replace("  (", "\t(").replace(", ", ",\t").replace("\n", "\r\n")
     )

@@ -67,7 +67,10 @@ def test_the_table_documents_solve_and_fail_as_intended(tmp_path, monkeypatch):
             "matrix-comment-after-entry", "matrix-comment-inside-entry",
             "matrix-trailing-semicolon", "matrix-comment-between-entries",
             "matrix-profile-over-two-lines", "matrix-crlf-and-tabs",
-            "heavy-crlf-trailing-semicolon", "vectors-1000", "lexer-comment-in-table"}
+            "heavy-crlf-trailing-semicolon", "vectors-1000", "lexer-comment-in-table",
+            "matrix-comment-before-first-entry", "matrix-comment-with-punctuation",
+            "matrix-comment-before-the-closing-brace", "matrix-crlf-comment-between-entries",
+            "heavy-comment-every-10th-entry"}
     fine |= {name for name in codes if name.startswith("builtin-")}
     assert {name for name, code in codes.items() if code == 0} == fine
     assert all(code == 2 for name, code in codes.items() if name not in fine)
