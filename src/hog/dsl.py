@@ -5,11 +5,10 @@ one `game` line, one `moves` line per player (their order fixes player
 order), one `outcomes` line, one `outcome_fn` line, and one `player` line
 per declared move set.  Newlines are soft inside braces and parentheses,
 so outcome tables can span lines.  The text is read into statements in
-one pass.  A well-formed table entry on one line is read as one token;
-the table reader takes it whole, and any other read splits it into its
-plain tokens.  A table body with no comment and no brace inside is one
-token too, and the table reader takes its entries with string splits when
-each is a well-formed one-line entry.  Only the token walk diagnoses: a
+one pass.  A table body with no brace outside its comments is one token,
+and the table reader takes its entries with string splits when, comments
+taken out, each is a well-formed entry, on one line or over several.  Any
+other body is read token by token, and only that token walk diagnoses: a
 document that fails is read again with no body token, so no diagnostic
 depends on them.  `parse_game` never returns a partially valid game:
 either every check passes or you get located diagnostics.  A statement
@@ -103,9 +102,10 @@ _PLAIN = (
     r"(?P<BAD>.)",
 )
 
-# A well-formed table entry on one line, `(labels) -> value`, where the value
-# is a label, a label tuple, or a tuple of numbers with nonzero denominators.
-_S = r"[ \t\r]*"
+# A well-formed table entry, `(labels) -> value`, where the value is a label,
+# a label tuple, or a tuple of numbers with nonzero denominators; its blanks
+# may hold newlines.
+_S = r"[ \t\r\n]*"
 _LABELS = rf"\({_S}{_IDENT}(?:{_S},{_S}{_IDENT})*{_S}\)"
 _RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"
 _ENTRY = (
@@ -113,18 +113,20 @@ _ENTRY = (
     rf"(?:{_IDENT}|{_LABELS}|\({_S}{_RATIONAL}(?:{_S},{_S}{_RATIONAL})*{_S}\))"
 )
 
-# A table body that may be read in one pass: a `{` whose first non-blank
-# character is `(`, then no brace and no comment up to the `}`.  One
-# character-class repeat keeps no backtracking state per entry.
-_TABLE = r"(?P<TABLE>\{[ \t\r\n]*\([^{}#]*\})"
-_BLANKS = r"[ \t\r\n]*"
+# A table body that may be read in one pass: a `{` whose first character
+# past blanks and whole comment lines is `(`, then no brace outside a comment
+# up to the `}`.  A comment ends at a newline, and the text outside comments
+# is one character-class repeat, so each body matches one way only and keeps
+# no backtracking state per entry.  (A lead of `{_S}{_COMMENTS}\(` would
+# match many ways, and an unclosed body would take quadratic time.)
+_COMMENTS = r"(?:\#[^\n]*\n[^{}#]*)*"
+_TABLE = rf"(?P<TABLE>\{{(?:{_S}\#[^\n]*\n)*{_S}\([^{{}}#]*{_COMMENTS}\}})"
 _NO_BLANKS = str.maketrans("", "", " \t\r\n")
 
 # Patterns are compiled on first use through `re`'s cache, so importing the
 # module compiles none of them.
 _PLAIN_RE = "|".join(_PLAIN)
-_TOKEN_RE = "|".join((f"(?P<ENTRY>{_ENTRY})",) + _PLAIN)
-_BULK_RE = "|".join((_TABLE, _TOKEN_RE))
+_BULK_RE = "|".join((_TABLE, _PLAIN_RE))
 
 
 class _Token(NamedTuple):
@@ -144,9 +146,7 @@ MAX_SELECTION_DEPTH = 100
 def _statements(text: str, diags: list, pattern: str) -> list[list[_Token]]:
     """The token lists of the statements in `text`, lexed by `pattern` in one pass.
 
-    Whitespace and comments make no token.  A well-formed table entry on one
-    line is one ENTRY token; it holds no newline and its brackets balance,
-    so it counts as its plain tokens would.  With `_BULK_RE`, a table body
+    Whitespace and comments make no token.  With `_BULK_RE`, a table body
     candidate is one TABLE token, its newlines counted past.  A newline ends
     a statement only outside brackets.  A run of unexpected characters is
     reported once; inside brackets only the run is skipped, at top level the
@@ -201,19 +201,9 @@ class _Stop(Exception):
     """A diagnostic has been recorded; abandon the statement or table entry."""
 
 
-def _plain_tokens(entry: _Token) -> list[_Token]:
-    """An ENTRY token as the plain tokens of its text, at their own columns."""
-    return [
-        _Token(m.lastgroup, m.group(), entry.line, entry.column + m.start())
-        for m in re.finditer(_PLAIN_RE, entry.text)
-        if m.lastgroup
-    ]
-
-
 class _Cursor:
-    """Reads one statement's tokens.  Only `entry` sees an ENTRY token whole;
-    every other read first splits it into its plain tokens, in place.  A
-    TABLE token is never split: only `_table` can read it."""
+    """Reads one statement's tokens.  A TABLE token is one token to every
+    read, and only `_table` takes it."""
 
     def __init__(self, tokens: list[_Token], diags: list, numbers: Callable[[str], Fraction]):
         self.tokens = tokens
@@ -222,20 +212,7 @@ class _Cursor:
         self.numbers = numbers
 
     def peek(self) -> Optional[_Token]:
-        if self.i >= len(self.tokens):
-            return None
-        tok = self.tokens[self.i]
-        if tok.kind == "ENTRY":
-            self.tokens[self.i : self.i + 1] = _plain_tokens(tok)
-            tok = self.tokens[self.i]
-        return tok
-
-    def entry(self) -> Optional[_Token]:
-        """Take the ENTRY token at the cursor, if there is one."""
-        if self.i < len(self.tokens) and self.tokens[self.i].kind == "ENTRY":
-            self.i += 1
-            return self.tokens[self.i - 1]
-        return None
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def advance(self) -> Optional[_Token]:
         tok = self.peek()
@@ -456,8 +433,7 @@ def _table_entry(cur: _Cursor):
 
 
 def _entry(text: str, numbers: Callable[[str], Fraction], head: _Token):
-    """A well-formed one-line entry with its blanks taken out, as
-    (profile, value, head)."""
+    """A well-formed entry with its blanks taken out, as (profile, value, head)."""
     profile, value = text.split("->")
     profile = tuple(profile[1:-1].split(","))
     if value[0] == "(":
@@ -470,35 +446,32 @@ def _entry(text: str, numbers: Callable[[str], Fraction], head: _Token):
 def _table(cur: _Cursor):
     """`{ entry ; ... }` as (entries, closing token).
 
-    A TABLE token is read in one pass when each of its `;`-separated pieces
-    is one well-formed one-line entry with blanks or newlines around it (a
-    trailing `;` allowed): its blanks are taken out and each piece is split
-    into its entry, with the TABLE token as head and closing token.  Any
-    other TABLE token is an error, so the document is walked again without
-    them.  Else an ENTRY token is read whole, and any other entry token by
-    token.  A bad entry is reported and skipped up to the next ';' or '}', so
-    later entries still get checked.
+    A TABLE token is read in one pass when, its comments taken out, each of
+    its `;`-separated pieces is one well-formed entry with blanks around it
+    (a trailing `;` allowed): its blanks are taken out and each piece is
+    split into its entry, with the TABLE token as head and closing token.
+    Any other TABLE token is an error, so the document is walked again
+    without them.  Else the entries are read token by token.  A bad entry is
+    reported and skipped up to the next ';' or '}', so later entries still
+    get checked.
     """
     body = cur.take("TABLE")
     if body is not None:
-        pieces = body.text[1:-1].split(";")
-        if re.fullmatch(_BLANKS, pieces[-1]):  # a trailing ';'
+        text = body.text[1:-1]
+        if "#" in text:
+            text = re.sub(r"\#[^\n]*", "", text)
+        pieces = text.split(";")
+        if re.fullmatch(_S, pieces[-1]):  # a trailing ';'
             pieces.pop()
-        if not all(map(re.compile(_BLANKS + _ENTRY + _BLANKS).fullmatch, pieces)):
+        if not all(map(re.compile(_S + _ENTRY + _S).fullmatch, pieces)):
             cur.fail("table body left to the token walk")  # never shown
         pieces = ";".join(pieces).translate(_NO_BLANKS).split(";")
         return [_entry(piece, cur.numbers, body) for piece in pieces], body
     cur.expect("'{'", "PUNCT", "{")
     entries = []
-    while True:
-        tok = cur.entry()
-        if tok is None and cur.at("PUNCT", "}"):
-            break
+    while not cur.at("PUNCT", "}"):
         try:
-            if tok:  # one `translate` per token costs more than split and join
-                entries.append(_entry("".join(tok.text.split()), cur.numbers, tok))
-            else:
-                entries.append(_table_entry(cur))
+            entries.append(_table_entry(cur))
         except _Stop:
             depth = 0
             while True:
@@ -607,7 +580,7 @@ def parse_game(src) -> ParseResult:
     result = _parse(text, _BULK_RE)
     # only the token walk diagnoses: a document that fails is read again
     # without TABLE tokens, so each diagnostic, its location and order are the walk's
-    return result if result.ok else _parse(text, _TOKEN_RE)
+    return result if result.ok else _parse(text, _PLAIN_RE)
 
 
 def _parse(text: str, pattern: str) -> ParseResult:

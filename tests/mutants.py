@@ -426,7 +426,7 @@ MUTANTS = (
     # table bodies read in bulk, walked token by token only to diagnose
     Mutant(
         "bulk-body-accepted-unchecked", DSL,
-        "        if not all(map(re.compile(_BLANKS + _ENTRY + _BLANKS).fullmatch, pieces)):\n",
+        "        if not all(map(re.compile(_S + _ENTRY + _S).fullmatch, pieces)):\n",
         "        if False:\n",
         DSL_TESTS,
     ),
@@ -446,14 +446,49 @@ MUTANTS = (
     Mutant(
         # a form feed or no-break space after the trailing ';' is dropped too
         "bulk-trailing-piece-blank-by-str-strip", DSL,
-        "        if re.fullmatch(_BLANKS, pieces[-1]):  # a trailing ';'\n",
+        "        if re.fullmatch(_S, pieces[-1]):  # a trailing ';'\n",
         "        if not pieces[-1].strip():  # a trailing ';'\n",
         DSL_TESTS,
     ),
     Mutant(
         "bulk-failure-not-walked-again", DSL,
-        "    return result if result.ok else _parse(text, _TOKEN_RE)\n",
+        "    return result if result.ok else _parse(text, _PLAIN_RE)\n",
         "    return result\n",
+        DSL_TESTS,
+    ),
+    Mutant(
+        # `Fraction("1/0")` in `_entry` raises out of parse_game
+        "bulk-entry-zero-denominator-accepted", DSL,
+        '_RATIONAL = r"-?\\d+(?:/0*[1-9]\\d*)?"',
+        '_RATIONAL = r"-?\\d+(?:/\\d+)?"',
+        DSL_TESTS,
+    ),
+    Mutant(
+        # a vertical tab, form feed or no-break space passes for a blank
+        "bulk-blanks-any-whitespace", DSL,
+        '_S = r"[ \\t\\r\\n]*"',
+        '_S = r"\\s*"',
+        DSL_TESTS,
+    ),
+    Mutant(
+        # a commented body fails its check and is walked
+        "bulk-comments-kept", DSL,
+        '            text = re.sub(r"\\#[^\\n]*", "", text)\n',
+        "            pass\n",
+        DSL_TESTS,
+    ),
+    Mutant(
+        # the same bodies match, but an unclosed one takes quadratic time
+        "bulk-table-lead-ambiguous", DSL,
+        r"(?:{_S}\#[^\n]*\n)*{_S}\(",
+        r"{_S}{_COMMENTS}\(",
+        DSL_TESTS,
+    ),
+    Mutant(
+        # a payoff vector becomes a label tuple: a type mismatch
+        "bulk-entry-numbers-as-labels", DSL,
+        '        if value[0][0] in "-0123456789":\n',
+        "        if False:\n",
         DSL_TESTS,
     ),
     # one profile check per evaluate_profile

@@ -3,6 +3,7 @@
 import gc
 import re
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -905,7 +906,7 @@ def test_the_cli_maps_any_document_to_exit_0_2_or_3(text):
 
 
 # ---------------------------------------------------------------------------
-# one-token table entries against the plain token stream
+# drawn table documents, read in bulk, against the plain token walk
 # ---------------------------------------------------------------------------
 
 _ENTRY_GAPS = ["", "  ", "\t", "\r", "\n", " # note\n", "\n\n  "]
@@ -986,25 +987,10 @@ def _table_documents(draw):
 @given(text=_table_documents())
 def test_one_token_entries_parse_as_their_plain_tokens_do(text):
     result = parse_game(text)
-    with mock.patch.multiple(dsl, _BULK_RE=dsl._PLAIN_RE, _TOKEN_RE=dsl._PLAIN_RE):
+    with mock.patch.object(dsl, "_BULK_RE", dsl._PLAIN_RE):
         plain = parse_game(text)
     assert result.diagnostics == plain.diagnostics
     assert result.game == plain.game
-
-
-def test_one_line_entries_are_read_as_one_token_and_the_rest_token_by_token():
-    def entries(text):
-        return [t.text for s in dsl._statements(text, [], dsl._TOKEN_RE) for t in s if t.kind == "ENTRY"]
-
-    matrix = render_game(classical_game(payoff_matrix(payoff_matrix_names()[0]))).text
-    assert len(entries(matrix)) == matrix.count("->")
-    one_line = ["(a) -> b", "(a,b)->(a, b)", "(a, b) -> (-1, 1/2, 007)", "(a)\t->\r(1/02)"]
-    assert entries(" ".join(one_line)) == one_line
-    token_by_token = [
-        "(a) ->\nb", "(a, # note\n b) -> c", "(a) -> (1/0)", "(a) -> (-3/00, 1)",
-        "(a) -> (1, b)", "(a) -> (b, 1)", "(a, 1) -> b", "(a) -> ()", "(a) -> $", "(a -> b",
-    ]
-    assert all(entries(text) == [] for text in token_by_token)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,17 +999,23 @@ def test_one_line_entries_are_read_as_one_token_and_the_rest_token_by_token():
 
 _BULK_LEADS = ["", " ", "\n  ", "\n\n\t"]
 _BULK_SEPARATORS = [";", " ;", " ;\n  ", ";\n", "\t;\t", "\n  ;\n  ", " ;\n\n  "]
-_BULK_ENDS = ["", " ", "\n", " ;", " ;\n", ";\n\n", " ;\x0c", ";\xa0\n", "\x0b"]
+_BULK_ENDS = [
+    "", " ", "\n", " ;", " ;\n", ";\n\n", " # last\n", " ; # last; (a) -> b }\n",
+    " ;\x0c", ";\xa0\n", "\x0b",
+]
 #: characters that `str.strip` takes as blanks but the grammar rejects
 _ODD_BLANKS = set("\x0b\x0c\xa0")
 _BULK_GAPS = ["", " ", "\t", "  "]
 _BULK_CELLS = _ENTRY_CELLS + ["-7/3", "12/5", "-0"]
 #: bends that keep the document valid and its body one bulk read
-_CLEAN_BENDS = {"crlf", "outcomes-after", "unreachable"}
+_CLEAN_BENDS = {
+    "crlf", "outcomes-after", "unreachable", "comment", "split", "lead-comment",
+    "brace-comment",
+}
 _BENDS = [
-    "crlf", "outcomes-after", "unreachable", "comment", "split", "zero", "stray",
-    "empty-piece", "no-separator", "unknown-label", "drop", "duplicate", "mixed", "brace",
-    "empty-body",
+    "crlf", "outcomes-after", "unreachable", "comment", "split", "lead-comment",
+    "brace-comment", "zero", "stray", "empty-piece", "no-separator", "unknown-label", "drop",
+    "duplicate", "mixed", "brace", "empty-body",
 ]
 
 
@@ -1031,9 +1023,10 @@ _BENDS = [
 def _bulk_documents(draw):
     """A two-player table game over {a, b, c}, its body written as one-line
     entries between `;`s with blanks, newlines and tabs, and a trailing `;`
-    or not, some ends holding a blank the grammar rejects; then bent with a set chance in ways that keep the bulk read, that
-    leave the body to the token walk, or that make the document fail.
-    Returns the text and whether it must be read in one pass."""
+    or not, some ends holding a comment or a blank the grammar rejects; then
+    bent with a set chance in ways that keep the bulk read, that leave the
+    body to the token walk, or that make the document fail.  Returns the
+    text and whether it must be read in one pass."""
 
     def pick(choices):
         return draw(st.sampled_from(choices))
@@ -1077,6 +1070,8 @@ def _bulk_documents(draw):
         j = draw(st.integers(0, len(separators) - 1))
         if "comment" in bends:
             separators[j] += " # note\n  "
+        if "brace-comment" in bends:
+            separators[j] += pick([" # { (a) -> b ; }\n  ", "\n  # }\n  "])
         if "empty-piece" in bends:
             separators[j] += " ;"
         if "no-separator" in bends:
@@ -1086,6 +1081,8 @@ def _bulk_documents(draw):
     end = pick(_BULK_ENDS)
     body = pick(_BULK_LEADS) + "".join(
         e + sep for e, sep in zip(entries, separators + [""])) + end
+    if "lead-comment" in bends:
+        body = pick([" # P1 picks the row\n", "\n  # a; (b) -> c {\n  # two\n"]) + body
     if "empty-body" in bends:
         body = " "
     goal = {"atoms": f"argmax(order: {labels.replace(', ', ' < ')})",
@@ -1115,7 +1112,7 @@ def _read(text):
 def test_table_bodies_read_in_bulk_parse_as_the_token_walk_does(drawn):
     text, clean = drawn
     result, passes, bulk = _read(text)
-    walk = dsl._parse(text, dsl._TOKEN_RE)
+    walk = dsl._parse(text, dsl._PLAIN_RE)
     assert result.diagnostics == walk.diagnostics
     assert result.game == walk.game
     if clean:
@@ -1130,14 +1127,20 @@ _BULK_PATHS = {
     "matrix-trailing-semicolon": True,
     "matrix-crlf-and-tabs": True,
     "vectors-1000": True,
-    "matrix-comment-between-entries": False,  # a comment: no TABLE token
-    "matrix-profile-over-two-lines": False,  # a piece that is no one-line entry
+    "matrix-comment-between-entries": True,
+    "matrix-profile-over-two-lines": True,
+    "matrix-comment-before-first-entry": True,
+    "matrix-comment-with-punctuation": True,
+    "matrix-comment-before-the-closing-brace": True,
+    "matrix-crlf-comment-between-entries": True,
+    "heavy-comment-every-10th-entry": True,
+    "lexer-comment-in-table": True,
+    "heavy-unclosed-with-comments": False,  # no '}': no TABLE token
     "matrix-empty-table": False,
     "matrix-bad-entry-mid-table": False,
     "matrix-zero-denominator-mid-table": False,
     "heavy-stray-character-mid-table": False,
     "heavy-unknown-value-mid-table": False,  # read in bulk, then walked to diagnose
-    "lexer-comment-in-table": False,
     "heavy-form-feed-after-a-trailing-semicolon": False,  # a blank the grammar rejects
     "heavy-no-break-space-after-a-trailing-semicolon": False,
 }
@@ -1147,9 +1150,30 @@ _BULK_PATHS = {
 def test_edge_bodies_take_their_path_and_parse_as_the_token_walk_does(name):
     text = parity._table_documents()[name]
     result, passes, bulk = _read(text)
-    walk = dsl._parse(text, dsl._TOKEN_RE)
+    walk = dsl._parse(text, dsl._PLAIN_RE)
     assert (result.diagnostics, result.game) == (walk.diagnostics, walk.game)
     assert (passes == 1 and bulk) == _BULK_PATHS[name]
+
+
+#: table entry -> is it read in bulk?  Only a well-formed entry is, on one
+#: line or over several, and the walk reads the rest.
+_ENTRY_READS = {
+    "(a) -> b": True, "(a,b)->(a, b)": True, "(a, b) -> (-1, 1/2, 007)": True,
+    "(a)\t->\r(1/02)": True, "(a) ->\nb": True, "(a, # note\n b) -> c": True,
+    "(a) -> (1/0)": False, "(a) -> (-3/00, 1)": False, "(a) -> (1, b)": False,
+    "(a) -> (b, 1)": False, "(a, 1) -> b": False, "(a) -> ()": False, "(a) -> $": False,
+    "(a -> b": False,
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_READS)
+def test_an_entry_is_read_in_bulk_only_when_well_formed(entry):
+    text = ("game g\nmoves P1 = { a, b }\noutcomes = { a, b, c }\n"
+            f"outcome_fn = table {{\n  {entry} ;\n  (b) -> a\n}}\nplayer P1 = fix\n")
+    result, _, bulk = _read(text)
+    walk = dsl._parse(text, dsl._PLAIN_RE)
+    assert (result.diagnostics, result.game) == (walk.diagnostics, walk.game)
+    assert bulk == _ENTRY_READS[entry]
 
 
 def test_lines_after_a_bulk_body_are_counted():
@@ -1175,9 +1199,7 @@ def test_a_one_line_table_is_read_with_no_token_per_entry(monkeypatch):
 
 
 def test_a_one_line_table_parses_in_no_more_memory_than_the_token_walk():
-    text = parity._heavy_text()
-
-    def peak(parse):
+    def peak(parse, text):
         gc.collect()
         tracemalloc.start()
         try:
@@ -1187,7 +1209,28 @@ def test_a_one_line_table_parses_in_no_more_memory_than_the_token_walk():
             tracemalloc.stop()
 
     def walk(t):
-        return dsl._parse(t, dsl._TOKEN_RE)
+        return dsl._parse(t, dsl._PLAIN_RE)
 
-    peak(parse_game), peak(walk)  # compile the patterns outside the measure
-    assert peak(parse_game) <= peak(walk)
+    heavy = parity._heavy_text()
+    for text in (heavy, parity._commented(heavy)):
+        peak(parse_game, text), peak(walk, text)  # compile the patterns outside the measure
+        assert peak(parse_game, text) <= peak(walk, text)
+
+
+def test_an_unclosed_commented_body_is_lexed_in_linear_time():
+    # a comment line first and after every entry, and no '}': the TABLE
+    # alternative fails at the '{', and must fail in time linear in the body
+    def text(n):
+        entries = "".join(f"  (a{k}) -> b ;\n  # entry {k}; (c) -> d\n" for k in range(n))
+        return f"game g\noutcome_fn = table {{\n  # the entries\n{entries}player P1 = fix\n"
+
+    def seconds(t):
+        start = time.perf_counter()
+        assert not parse_game(t).ok
+        return time.perf_counter() - start
+
+    small, large = text(250), text(2000)
+    seconds(small)  # compile the patterns outside the measure
+    # each ratio from two runs side by side, so that a slow spell of the host
+    # weighs on both; linear time gives about 8, quadratic about 64
+    assert min(seconds(large) / seconds(small) for _ in range(5)) < 16
